@@ -29,35 +29,19 @@ sim::Future<dap::GetDataResult> AbdDap::get_data_confirmed(
   auto qc = sim::broadcast_collect<QueryReply>(owner_, spec_.servers,
                                                std::move(req));
   co_await qc.wait_for(spec_.quorum_size());
-  TagValue best{kInitialTag, nullptr};
-  Tag confirmed = kInitialTag;
-  std::size_t grants = 0;
-  SimTime grant_expiry = std::numeric_limits<SimTime>::max();
+  dap::QuorumFold fold;
   for (const auto& a : qc.arrivals()) {
-    if (a.reply->tag > best.tag ||
-        (a.reply->tag == best.tag && !best.value)) {
-      best = TagValue{a.reply->tag, a.reply->value};
-    }
-    confirmed = std::max(confirmed, a.reply->confirmed);
-    if (a.reply->lease_expiry > 0) {
-      ++grants;
-      grant_expiry = std::min(grant_expiry, a.reply->lease_expiry);
-    }
+    fold.add(a.reply->tag, a.reply->value, a.reply->confirmed,
+             a.reply->lease_expiry);
   }
-  dap::GetDataResult result{best, false};
+  dap::GetDataResult result{fold.best, false,
+                            fold.lease(spec_.quorum_size())};
   // One confirming server suffices: its claim is that a *quorum* already
   // stores tag ≥ best.tag, so any later read's query quorum intersects that
   // quorum and observes a tag ≥ best.tag without our write-back.
-  if (spec_.semifast && confirmed >= best.tag) {
+  if (spec_.semifast && fold.confirmed >= fold.best.tag) {
     result.confirmed = true;
-    note_confirmed(best.tag);
-  }
-  // A lease is only trustworthy when a full quorum granted it in this very
-  // round: every later put ack quorum then intersects the grant set, so at
-  // least one enforcing server gates any newer write until we settled. The
-  // window is the *minimum* grant expiry.
-  if (grants >= spec_.quorum_size()) {
-    result.lease_expiry = grant_expiry;
+    note_confirmed(fold.best.tag);
   }
   co_return result;
 }
@@ -104,14 +88,11 @@ sim::Future<TagValue> AbdDap::get_data_fenced(CseqEntry successor) {
         return with_next >= q;
       };
   co_await qc.wait(fenced);
-  TagValue best{kInitialTag, nullptr};
+  dap::QuorumFold fold;
   for (const auto& a : qc.arrivals()) {
-    if (a.reply->tag > best.tag ||
-        (a.reply->tag == best.tag && !best.value)) {
-      best = TagValue{a.reply->tag, a.reply->value};
-    }
+    fold.add(a.reply->tag, a.reply->value, a.reply->confirmed, 0);
   }
-  co_return best;
+  co_return fold.best;
 }
 
 sim::Future<void> AbdDap::put_data(TagValue tv) {
@@ -131,23 +112,12 @@ sim::Future<dap::PutDataResult> AbdDap::put_data_leased(TagValue tv,
   auto qc = sim::broadcast_collect<WriteAck>(owner_, spec_.servers,
                                              std::move(req));
   co_await qc.wait_for(spec_.quorum_size());
-  dap::PutDataResult result;
-  if (want_lease) {
-    // Same full-quorum rule as read leases: only when *every* counted ack
-    // granted is the lease enforceable, because then any later put's ack
-    // quorum intersects the grant set. Each grant also certifies that at
-    // ack time our pair was that server's current register, so the cached
-    // value cannot be stale (see WriteAck::lease_expiry).
-    std::size_t grants = 0;
-    SimTime grant_expiry = std::numeric_limits<SimTime>::max();
-    for (const auto& a : qc.arrivals()) {
-      if (a.reply->lease_expiry > 0) {
-        ++grants;
-        grant_expiry = std::min(grant_expiry, a.reply->lease_expiry);
-      }
-    }
-    if (grants >= spec_.quorum_size()) result.lease_expiry = grant_expiry;
-  }
+  // Same full-quorum rule as read leases. Each grant also certifies that at
+  // ack time our pair was that server's current register, so the cached
+  // value cannot be stale (see WriteAck::lease_expiry).
+  dap::QuorumFold fold;
+  for (const auto& a : qc.arrivals()) fold.add_grant(a.reply->lease_expiry);
+  dap::PutDataResult result{fold.lease(spec_.quorum_size())};
   // ⟨τ, v⟩ now rests at a quorum: remember it and tell the servers, so
   // subsequent reads (ours via the piggybacked hint, anyone's via the
   // broadcast) can skip their write-back.

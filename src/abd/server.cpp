@@ -79,55 +79,35 @@ bool AbdServerState::handle(dap::ServerContext& ctx, const sim::Message& msg) {
   if (!req) return false;
   if (absorb_confirmations(msg)) return true;
   if (handle_batch(ctx, msg)) return true;
-  Register& r = reg(req->object);
 
+  // The scalar messages stay on the wire (a one-object query or put is
+  // smaller as these than as a one-member batch); their bodies are the
+  // batch handler's per-member ones.
   if (std::dynamic_pointer_cast<const QueryTagReq>(msg.body)) {
     auto reply = std::make_shared<QueryTagReply>();
-    reply->tag = r.tag;
+    reply->tag = query_one(req->object).tag;
     ctx.process.reply_to(msg, std::move(reply));
     return true;
   }
   if (auto query = std::dynamic_pointer_cast<const QueryReq>(msg.body)) {
-    note_mix(req->object, /*is_write=*/false);
+    const dap::BatchQueryItem item =
+        query_member(ctx, req->object, msg.from, /*tags_only=*/false,
+                     query->want_lease);
     auto reply = std::make_shared<QueryReply>();
-    reply->tag = r.tag;
-    reply->value = r.value;
-    reply->confirmed = confirmed_tag(req->object);
-    if (query->want_lease) {
-      reply->lease_expiry =
-          maybe_grant_lease(ctx, req->object, msg.from, r.tag);
-    }
+    reply->tag = item.tag;
+    reply->value = item.value;
+    reply->confirmed = item.confirmed;
+    reply->lease_expiry = item.lease_expiry;
     ctx.process.reply_to(msg, std::move(reply));
     return true;
   }
   if (auto write = std::dynamic_pointer_cast<const WriteReq>(msg.body)) {
-    note_mix(req->object, /*is_write=*/true);
-    put_one(req->object, write->tag, write->value);
-    // Adopt immediately, but withhold the ack — i.e. the writer's
-    // completion — until every read lease granted at an older tag has
-    // settled (no-op without leases; see DapServer::settle_leases). The
-    // ServerContext lives on the caller's stack, so the callback captures
-    // its stable pieces and rebuilds one for the grant path.
-    sim::Process* proc = &ctx.process;
-    sim::Message saved = msg;
-    settle_leases(
-        ctx, req->object, write->tag, msg.from,
-        [this, proc, saved, spec = &ctx.config, registry = &ctx.registry,
-         obj = req->object, tag = write->tag, from = msg.from,
-         want = write->want_lease] {
-          auto reply = std::make_shared<WriteAck>();
-          // Write-ack lease grant, only when the written pair IS still this
-          // server's current register at ack time (see
-          // WriteAck::lease_expiry): if a concurrent newer write landed
-          // first, refusing here keeps the slower writer from caching a
-          // superseded pair under an enforceable lease; if it lands after,
-          // settle_leases gates its ack on this very grant.
-          if (want && reg(obj).tag == tag) {
-            dap::ServerContext ctx2{*proc, *spec, *registry};
-            reply->lease_expiry = maybe_grant_lease(ctx2, obj, from, tag);
-          }
-          proc->reply_to(saved, std::move(reply));
-        });
+    put_members(ctx, msg, {{req->object, write->tag, write->value}},
+                write->want_lease, [](std::vector<SimTime> grants) {
+                  auto reply = std::make_shared<WriteAck>();
+                  reply->lease_expiry = grants.front();
+                  return reply;
+                });
     return true;
   }
   return false;

@@ -104,58 +104,45 @@ sim::Future<OpResult> AresStore::reconfig(ObjectId obj, dap::ConfigSpec spec) {
 
 sim::Future<std::vector<OpResult>> AresStore::read_many(
     std::span<const ObjectId> objs) {
-  const auto before = detail::sample(traffic());
-  std::vector<OpResult> out(objs.size());
-  for (std::size_t i = 0; i < objs.size(); ++i) out[i].object = objs[i];
-  auto armed = arm_deadline(client_, op_deadline());
-  try {
-    std::vector<ObjectId> keys(objs.begin(), objs.end());
-    auto op = client_.read_batch(std::move(keys));
-    auto tvs = co_await op;
-    for (std::size_t i = 0; i < tvs.size(); ++i) {
-      out[i].tag = tvs[i].tag;
-      out[i].value = tvs[i].value;
-    }
-  } catch (const sim::OpAborted& e) {
-    for (auto& r : out) r.status = status_of(e);
-  } catch (const sim::ConfigRetired&) {
-    for (auto& r : out) r.status = OpStatus::kRetired;
-  }
-  disarm(armed);
-  const OpMetrics total = detail::delta(before, traffic());
-  detail::amortize(out, total);
-  co_return out;
+  return run_many(std::vector<ObjectId>(objs.begin(), objs.end()), {});
 }
 
 sim::Future<std::vector<OpResult>> AresStore::write_many(
     std::span<const WriteOp> ops) {
+  std::vector<ObjectId> keys;
+  std::vector<ValuePtr> values;
+  for (const WriteOp& op : ops) {
+    keys.push_back(op.object);
+    values.push_back(op.value);
+  }
+  return run_many(std::move(keys), std::move(values));
+}
+
+sim::Future<std::vector<OpResult>> AresStore::run_many(
+    std::vector<ObjectId> keys, std::vector<ValuePtr> values) {
   const auto before = detail::sample(traffic());
-  std::vector<OpResult> out(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    out[i].object = ops[i].object;
-    out[i].is_write = true;
+  const bool writes = !values.empty();
+  std::vector<OpResult> out(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    out[i].object = keys[i];
+    out[i].is_write = writes;
   }
   auto armed = arm_deadline(client_, op_deadline());
   try {
-    std::vector<ObjectId> keys;
-    std::vector<ValuePtr> values;
-    keys.reserve(ops.size());
-    values.reserve(ops.size());
-    for (const WriteOp& op : ops) {
-      keys.push_back(op.object);
-      values.push_back(op.value);
+    auto op = writes ? client_.write_batch(std::move(keys), std::move(values))
+                     : client_.read_batch(std::move(keys));
+    const std::vector<TagValue> pairs = co_await op;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      out[i].tag = pairs[i].tag;
+      if (!writes) out[i].value = pairs[i].value;
     }
-    auto batch = client_.write_batch(std::move(keys), std::move(values));
-    auto tags = co_await batch;
-    for (std::size_t i = 0; i < tags.size(); ++i) out[i].tag = tags[i];
   } catch (const sim::OpAborted& e) {
     for (auto& r : out) r.status = status_of(e);
   } catch (const sim::ConfigRetired&) {
     for (auto& r : out) r.status = OpStatus::kRetired;
   }
   disarm(armed);
-  const OpMetrics total = detail::delta(before, traffic());
-  detail::amortize(out, total);
+  detail::amortize(out, detail::delta(before, traffic()));
   co_return out;
 }
 

@@ -28,7 +28,7 @@ class AresStore final : public Store {
 
   /// Real batching: members sharing a configuration cost one multi-object
   /// quorum round per phase (see AresClient::read_batch / write_batch);
-  /// diverging members fall back to per-object Alg.-7 ops.
+  /// every other member runs as a scalar Alg.-7 op.
   [[nodiscard]] sim::Future<std::vector<OpResult>> read_many(
       std::span<const ObjectId> objs) override;
   [[nodiscard]] sim::Future<std::vector<OpResult>> write_many(
@@ -39,6 +39,10 @@ class AresStore final : public Store {
   [[nodiscard]] reconfig::AresClient& client() { return client_; }
 
  private:
+  /// read_many (`values` empty) or write_many through the client's engine.
+  [[nodiscard]] sim::Future<std::vector<OpResult>> run_many(
+      std::vector<ObjectId> keys, std::vector<ValuePtr> values);
+
   reconfig::AresClient& client_;
 };
 

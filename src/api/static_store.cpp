@@ -117,13 +117,12 @@ sim::Future<std::vector<OpResult>> StaticStore::write_many(
   co_return out;
 }
 
-// The batch orchestration below deliberately parallels (not shares with)
-// AresClient::read_batch/write_batch: the static stack has no
-// reconfiguration machinery, so the hint absorption, demotion and post-put
-// config-check steps disappear, and a shared helper would need
-// callback-parameterized coroutines — exactly the capturing-lambda shape
-// this codebase bans (CP.51 / the GCC-12 note in sim/coro.hpp). When the
-// semifast elision rule changes, change it in both places.
+// The batch orchestration below is the static (A1/A2) counterpart of one
+// wave of AresClient's op engine (run_group): the same semifast write-back
+// rule over the same dap/batch rounds, minus everything reconfiguration
+// adds — hint absorption, waves, post-put config checks. AresClient lives
+// above the reconfiguration service, so the two cannot share the code;
+// when the semifast elision rule changes, change run_group too.
 sim::Future<std::vector<OpResult>> StaticStore::read_many_impl(
     std::span<const ObjectId> objs) {
   if (!dap::batch_capable(client_.spec())) {

@@ -5,7 +5,9 @@
 #include "dap/factory.hpp"
 #include "storage/messages.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -247,8 +249,15 @@ sim::Future<void> AresClient::complete_write(ObjectId obj, TagValue tv) {
   for (;;) {
     bool retired = false;
     try {
-      auto prop = propagate_tail(obj, tv);
-      co_await prop;
+      // Re-put into each new tail until the sequence stops growing.
+      std::size_t v = nu(obj);
+      for (;;) {
+        auto put = dap_for(obj, cseq(obj)[v].cfg)->put_data(tv);
+        co_await put;
+        co_await read_config(obj);
+        if (nu(obj) == v) break;
+        v = nu(obj);
+      }
     } catch (const sim::ConfigRetired&) {
       retired = true;
     }
@@ -414,684 +423,324 @@ sim::Future<void> AresClient::ensure_config(ObjectId obj) {
 }
 
 // ---------------------------------------------------------------------------
-// Read / write operations (Algorithm 7, with the steady-state fast path)
+// Read / write operations (Algorithm 7): one engine for scalar and batched
+// ops, with the steady-state fast path
 // ---------------------------------------------------------------------------
-
-sim::Future<Tag> AresClient::write(ObjectId obj, ValuePtr value) {
-  ObjectState& st = obj_state(obj);  // lazily bind to the default c0
-  trim_cseq(obj);
-  InflightGuards guard;
-  guard.hold(st.inflight);
-  std::uint64_t op = 0;
-  if (recorder_ != nullptr) {
-    op = recorder_->begin(id(), checker::OpKind::kWrite, simulator().now(),
-                          obj);
-  }
-  auto core = write_core(obj, value, op);
-  const Tag tw = co_await core;
-  if (recorder_ != nullptr) {
-    recorder_->end(op, simulator().now(), tw, value);
-  }
-  co_return tw;
-}
-
-sim::Future<Tag> AresClient::write_core(ObjectId obj, ValuePtr value,
-                                        std::uint64_t op) {
-  (void)obj_state(obj);  // lazily bind to the default c0 on first use
-  // An own write outdates any locally cached pair: the servers' settle
-  // gates exclude the writer itself, so the writer revokes its own lease.
-  poison_lease(obj);
-
-  // Max tag across configurations µ..ν. If a piggybacked hint reveals a
-  // successor mid-phase, re-traverse and re-run so tmax covers it; if a
-  // quorum round bounces off garbage-collected state, re-sync and retry
-  // wholesale — no tag has been recorded yet, so a fresh choice is sound.
-  Tag tmax = kInitialTag;
-  std::size_t v = 0;
-  for (;;) {
-    bool retired = false;
-    try {
-      co_await ensure_config(obj);
-      for (;;) {
-        const std::size_t m = mu(obj);
-        v = nu(obj);
-        tmax = kInitialTag;
-        for (std::size_t i = m; i <= v; ++i) {
-          tmax =
-              std::max(tmax, co_await dap_for(obj, cseq(obj)[i].cfg)->get_tag());
-        }
-        if (nu(obj) == v) break;
-        co_await read_config(obj);
-      }
-    } catch (const sim::ConfigRetired&) {
-      retired = true;
-    }
-    if (!retired) break;
-    auto rs = resync_after_retire(obj);
-    co_await rs;
-  }
-  const Tag tw = tmax.next(id());
-  if (recorder_ != nullptr) {
-    // Record the tag pre-put: a crashed writer's value may still surface.
-    recorder_->note_write_tag(op, tw, value);
-  }
-
-  // Propagate into the last configuration until the sequence stops growing.
-  // Under fenced transfer reads the explicit post-put read-config IS
-  // elidable when the ack quorum came back hint-free: every transfer read
-  // of a racing reconfiguration waits for a quorum of servers that have
-  // *installed* the successor pointer, and that quorum intersects our put
-  // ack quorum — the intersection server either acked our put before its
-  // fenced reply (the transfer observes tw) or replied fenced first, in
-  // which case its ack to us carries the pointer and we take the explicit
-  // round after all (see FastPath.WriteDiscoversReconfigCompleting-
-  // DuringPutRound for the adversarial schedule). LDR tails never elide
-  // (tail_covers_hints is false), so LDR sources need no fence.
-  TagValue to_write{tw, value};  // named: see GCC-12 note in sim/coro.hpp
-  bool retired = false;
-  try {
-    for (;;) {
-      const ConfigId vcfg = cseq(obj)[v].cfg;
-      // Ask for a write-ack lease only in the single-tail steady state the
-      // install premise needs (mirrors the read path's want_lease condition).
-      const bool want_lease = fast_path_ && obj_state(obj).synced &&
-                              mu(obj) == v && tail_covers_hints(obj);
-      auto put_fut =
-          dap_for(obj, vcfg)->put_data_leased(to_write, want_lease);
-      const dap::PutDataResult pr = co_await put_fut;
-      ObjectState& st = obj_state(obj);
-      if (fast_path_ && st.synced && nu(obj) == v && tail_covers_hints(obj)) {
-        note_round_elided();
-        // Write-ack lease: a full quorum granted on the ack, certifying our
-        // pair is each granting server's current register — the writer
-        // immediately re-leases its own value.
-        if (pr.lease_expiry > 0 && mu(obj) == nu(obj) &&
-            st.cseq.back().cfg == vcfg) {
-          install_lease(obj, vcfg, to_write, pr.lease_expiry);
-        }
-        break;
-      }
-      co_await read_config(obj);
-      if (nu(obj) == v) break;
-      v = nu(obj);
-    }
-  } catch (const sim::ConfigRetired&) {
-    // The tag is recorded history now: finish by re-propagating the SAME
-    // pair into the re-synced tail (complete_write), never a fresh tag.
-    retired = true;
-  }
-  if (retired) {
-    auto rs = resync_after_retire(obj);
-    co_await rs;
-    auto fin = complete_write(obj, to_write);
-    co_await fin;
-  }
-
-  co_return tw;
-}
 
 sim::Future<TagValue> AresClient::read(ObjectId obj) {
-  ObjectState& st = obj_state(obj);  // lazily bind to the default c0
-  trim_cseq(obj);
-  InflightGuards guard;
-  guard.hold(st.inflight);
-  std::uint64_t op = 0;
-  if (recorder_ != nullptr) {
-    op = recorder_->begin(id(), checker::OpKind::kRead, simulator().now(),
-                          obj);
-  }
-  auto core = read_core(obj);
-  TagValue best = co_await core;
-  if (recorder_ != nullptr) {
-    recorder_->end(op, simulator().now(), best.tag, best.value);
-  }
-  co_return best;
-}
-
-sim::Future<TagValue> AresClient::read_core(ObjectId obj) {
-  // Retirement retry shell: a quorum round of the attempt below may bounce
-  // off garbage-collected state at any suspension point; reads are
-  // side-effect free up to their write-back, so re-running the whole
-  // attempt after a re-sync is always sound.
-  for (;;) {
-    bool retired = false;
-    TagValue out;
-    try {
-      auto once = read_core_once(obj);
-      out = co_await once;
-    } catch (const sim::ConfigRetired&) {
-      retired = true;
-    }
-    if (!retired) co_return out;
-    auto rs = resync_after_retire(obj);
-    co_await rs;
-  }
-}
-
-sim::Future<TagValue> AresClient::read_core_once(ObjectId obj) {
-  (void)obj_state(obj);  // lazily bind to the default c0 on first use
-
   // Lease fast path: a valid window serves the read entirely locally —
-  // zero quorum rounds, zero messages.
+  // zero quorum rounds, zero messages, no engine state.
   if (TagValue leased; try_lease_read(obj, leased)) {
+    if (recorder_ != nullptr) {
+      const std::uint64_t op = recorder_->begin(
+          id(), checker::OpKind::kRead, simulator().now(), obj);
+      recorder_->end(op, simulator().now(), leased.tag, leased.value);
+    }
     co_return leased;
   }
-
-  co_await ensure_config(obj);
-
-  TagValue best{kInitialTag, nullptr};
-  bool confirmed = false;
-  std::size_t m = 0;
-  std::size_t v = 0;
-  SimTime lease_expiry = 0;    // quorum grant window of the tail round
-  ConfigId lease_cfg = kNoConfig;
-  for (;;) {
-    m = mu(obj);
-    v = nu(obj);
-    best = TagValue{kInitialTag, nullptr};
-    confirmed = false;
-    lease_expiry = 0;
-    lease_cfg = kNoConfig;
-    for (std::size_t i = m; i <= v; ++i) {
-      // Ask for grants only when the whole sequence is this one
-      // configuration — the settle gates of a superseded configuration do
-      // not cover writes landing in its successors, and a grant the
-      // client cannot install would still stall later writers.
-      const bool want_lease = fast_path_ && m == v && i == v;
-      dap::GetDataResult r =
-          co_await dap_for(obj, cseq(obj)[i].cfg)
-              ->get_data_confirmed(want_lease);
-      if (r.tv.tag > best.tag || !best.value) {
-        best = r.tv;
-        confirmed = r.confirmed;
-      }
-      if (want_lease) {
-        lease_expiry = r.lease_expiry;
-        lease_cfg = cseq(obj)[i].cfg;
-      }
-    }
-    if (nu(obj) == v) break;
-    co_await read_config(obj);  // hint revealed a successor: re-run the phase
-  }
-  if (!best.value) best.value = initial_value();  // initial v0
-
-  // Semifast read: when the whole sequence is one configuration and the max
-  // tag is already quorum-confirmed there, the write-back phase (and its
-  // trailing read-config) is redundant. Safe because the confirmation is
-  // evidence about the *past* — the tag rested at a full quorum before this
-  // read's replies — so any reconfiguration transfer sampling after our
-  // replies observes it by quorum intersection, and any reconfiguration
-  // whose put-config completed before our replies was already visible as a
-  // piggybacked hint (forcing the re-run above). Contrast with the write
-  // path, whose tag reaches a quorum only concurrently with its put round
-  // and therefore must re-sample afterwards.
-  const bool skip_write_back =
-      fast_path_ && confirmed && m == v && tail_covers_hints(obj);
-  if (!skip_write_back) {
-    for (;;) {
-      co_await dap_for(obj, cseq(obj)[v].cfg)->put_data(best);
-      // Same fence-backed elision as the write path: a hint-free put ack
-      // quorum proves no racing transfer can have missed this tag.
-      ObjectState& st = obj_state(obj);
-      if (fast_path_ && st.synced && nu(obj) == v && tail_covers_hints(obj)) {
-        note_round_elided();
-        break;
-      }
-      co_await read_config(obj);
-      if (nu(obj) == v) break;
-      v = nu(obj);
-    }
-  }
-
-  // Install the lease once the returned pair is quorum-resident (it is,
-  // either by confirmation or by the write-back just completed) and the
-  // steady state still holds — any successor revealed meanwhile poisoned
-  // the premise.
-  if (fast_path_ && lease_expiry > 0) {
-    const ObjectState& st = obj_state(obj);
-    if (st.synced && mu(obj) == nu(obj) && st.cseq.back().cfg == lease_cfg) {
-      install_lease(obj, lease_cfg, best, lease_expiry);
-    }
-  }
-
-  co_return best;
+  auto run = run_members({obj}, {});
+  const std::vector<TagValue> out = co_await run;
+  co_return out.front();
 }
 
-// ---------------------------------------------------------------------------
-// Batched operations (Store API read_many/write_many): group members by
-// configuration via the synced-cseq cache and serve each group with
-// multi-object quorum rounds; any member whose configuration diverges —
-// mid-reconfig sequence, non-batchable protocol, or a piggybacked hint
-// revealing a successor mid-batch — falls back to the per-object Alg.-7 op.
-// ---------------------------------------------------------------------------
-
-sim::Future<std::vector<CseqEntry>> AresClient::read_config_batch(
-    ConfigId c, std::vector<ObjectId> objs) {
-  const auto& spec = registry_.get(c);
-  auto req = std::make_shared<ReadConfigBatchReq>();
-  req->config = c;
-  req->object = objs.empty() ? kDefaultObject : objs.front();
-  req->objects = objs;
-  auto qc = sim::broadcast_collect<ReadConfigBatchReply>(*this, spec.servers,
-                                                         std::move(req));
-  co_await qc.wait_for(spec.quorum_size());
-  std::vector<CseqEntry> out(objs.size());
-  for (const auto& a : qc.arrivals()) {
-    const std::size_t n = std::min(a.reply->nexts.size(), out.size());
-    for (std::size_t j = 0; j < n; ++j) {
-      const CseqEntry& seen = a.reply->nexts[j];
-      if (!seen.valid()) continue;
-      if (!out[j].valid() || (seen.finalized && !out[j].finalized)) {
-        out[j] = seen;
-      }
-    }
-  }
-  co_return out;
+sim::Future<Tag> AresClient::write(ObjectId obj, ValuePtr value) {
+  auto run = run_members({obj}, {std::move(value)});
+  const std::vector<TagValue> out = co_await run;
+  co_return out.front().tag;
 }
 
-sim::Future<void> AresClient::propagate_tail(ObjectId obj, TagValue tv) {
-  std::size_t v = nu(obj);
-  for (;;) {
-    co_await dap_for(obj, cseq(obj)[v].cfg)->put_data(tv);
-    co_await read_config(obj);
-    if (nu(obj) == v) break;
-    v = nu(obj);
-  }
-  co_return;
-}
-
-namespace {
-
-/// True when `obj`'s whole cached sequence is the single configuration
-/// `st.cseq.back()` and that configuration serves the batch primitives.
-bool group_stable(const AresClient& client, ObjectId obj, ConfigId cfg) {
-  const auto& cs = client.cseq(obj);
-  return cs.back().cfg == cfg && client.mu(obj) == client.nu(obj);
-}
-
-}  // namespace
-
-sim::Future<std::vector<TagValue>> AresClient::read_batch(
-    std::vector<ObjectId> objs) {
-  std::vector<TagValue> out(objs.size());
-  std::vector<std::uint64_t> rec(objs.size(), 0);
-  std::vector<char> leased(objs.size(), 0);
-  InflightGuards guard;
-  std::set<ObjectId> held;
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    ObjectState& st = obj_state(objs[i]);
-    trim_cseq(objs[i]);
-    if (held.insert(objs[i]).second) guard.hold(st.inflight);
-    if (recorder_ != nullptr) {
-      rec[i] = recorder_->begin(id(), checker::OpKind::kRead,
-                                simulator().now(), objs[i]);
-    }
-  }
-  // Lease fast path per member: a valid window serves the member locally
-  // and excludes it from every quorum round below (the QueryBatchReq
-  // fan-out never lists it).
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    if (try_lease_read(objs[i], out[i])) leased[i] = 1;
-  }
-  // Resolve configurations (zero rounds per member once synced).
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    if (leased[i]) continue;
-    co_await ensure_config(objs[i]);
-  }
-
-  // Group by tail configuration; deduplicate objects within a group (a
-  // repeated read in one batch shares the canonical member's result).
-  std::map<ConfigId, std::vector<std::size_t>> groups;
-  std::vector<std::size_t> singles;
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    if (leased[i]) continue;
-    const ObjectState& st = obj_state(objs[i]);
-    const ConfigId tail = st.cseq.back().cfg;
-    if (st.synced && mu(objs[i]) == nu(objs[i]) &&
-        dap::batch_capable(registry_.get(tail))) {
-      groups[tail].push_back(i);
-    } else {
-      singles.push_back(i);
-    }
-  }
-
-  for (auto& [cfg, slots] : groups) {
-    auto group = read_batch_group(cfg, slots, objs, out);
-    co_await group;
-  }
-
-  for (std::size_t i : singles) {
-    auto fallback = read_core(objs[i]);
-    out[i] = co_await fallback;
-  }
-
-  if (recorder_ != nullptr) {
-    for (std::size_t i = 0; i < objs.size(); ++i) {
-      recorder_->end(rec[i], simulator().now(), out[i].tag, out[i].value);
-    }
-  }
-  co_return out;
-}
-
-sim::Future<void> AresClient::read_batch_group(
-    ConfigId cfg, const std::vector<std::size_t>& slots,
-    const std::vector<ObjectId>& objs, std::vector<TagValue>& out) {
-  bool retired = false;
-  try {
-    const dap::ConfigSpec& spec = registry_.get(cfg);
-    std::vector<ObjectId> uobjs;           // distinct objects, wire order
-    std::vector<std::size_t> canon;        // canonical member per uobj
-    std::map<ObjectId, std::size_t> uslot;  // object -> uobjs index
-    for (std::size_t s : slots) {
-      auto [it, inserted] = uslot.try_emplace(objs[s], uobjs.size());
-      if (inserted) {
-        uobjs.push_back(objs[s]);
-        canon.push_back(s);
-      }
-    }
-    std::vector<Tag> hints;
-    hints.reserve(uobjs.size());
-    for (ObjectId o : uobjs) hints.push_back(dap_for(o, cfg)->confirmed_tag());
-
-    // One get-data quorum round for the whole group (with lease grants —
-    // every grouped member is in the stable single-config steady state).
-    auto get_fut =
-        dap::batch_get_data(*this, spec, uobjs,
-                            /*tags_only=*/false, std::move(hints),
-                            /*want_leases=*/fast_path_);
-    auto items = co_await get_fut;
-    for (std::size_t u = 0; u < uobjs.size(); ++u) {
-      if (items[u].next_c.valid()) {
-        note_config_hint(cfg, uobjs[u], items[u].next_c);
-      }
-    }
-
-    std::vector<dap::BatchPutItem> wb;   // members needing the write-back
-    std::vector<std::size_t> wb_canon;   // their canonical member indices
-    std::vector<SimTime> wb_lease;       // their quorum grant windows
-    std::vector<std::size_t> demoted;    // uobj indices rerun per-object
-    for (std::size_t u = 0; u < uobjs.size(); ++u) {
-      const ObjectId obj = uobjs[u];
-      if (!obj_state(obj).synced || !group_stable(*this, obj, cfg)) {
-        demoted.push_back(u);
-        continue;
-      }
-      TagValue best{items[u].tag,
-                    items[u].value ? items[u].value : initial_value()};
-      out[canon[u]] = best;
-      const bool confirmed = spec.semifast && items[u].confirmed >= best.tag;
-      if (confirmed) dap_for(obj, cfg)->note_confirmed(best.tag);
-      if (!(fast_path_ && confirmed)) {
-        wb.push_back({obj, best.tag, best.value});
-        wb_canon.push_back(canon[u]);
-        wb_lease.push_back(items[u].lease_expiry);
-      } else if (fast_path_ && items[u].lease_expiry > 0) {
-        // Confirmed member with a quorum of grants: the pair is already
-        // quorum-resident, so the lease may serve future reads locally.
-        install_lease(obj, cfg, best, items[u].lease_expiry);
-      }
-    }
-
-    if (!wb.empty()) {
-      // One put round writes every non-confirmed pair back...
-      auto put_fut = dap::batch_put_data(*this, spec, wb);
-      auto ack = co_await put_fut;
-      for (std::size_t j = 0; j < wb.size(); ++j) {
-        if (ack.next_cs[j].valid()) {
-          note_config_hint(cfg, wb[j].object, ack.next_cs[j]);
-        }
-      }
-      // ...and the batched post-put config check — elided under the fast
-      // path: fenced transfer reads guarantee any racing reconfiguration
-      // either observes these tags or leaves a pointer in the ack hints
-      // just absorbed (see write_core); members whose hints fired fall
-      // through to propagate_tail below.
-      std::vector<CseqEntry> nexts(wb.size());
-      if (fast_path_) {
-        note_round_elided();
-      } else {
-        std::vector<ObjectId> wb_objs;
-        wb_objs.reserve(wb.size());
-        for (const auto& p : wb) wb_objs.push_back(p.object);
-        auto check_fut = read_config_batch(cfg, wb_objs);
-        nexts = co_await check_fut;
-      }
-      for (std::size_t j = 0; j < wb.size(); ++j) {
-        const ObjectId obj = wb[j].object;
-        ObjectState& st = obj_state(obj);
-        if (nexts[j].valid() && st.cseq.back().cfg == cfg) {
-          set_entry(obj, nu(obj) + 1, nexts[j]);
-          st.synced = false;
-        }
-        if (st.cseq.back().cfg != cfg || !st.synced) {
-          TagValue tv = out[wb_canon[j]];
-          auto prop = propagate_tail(obj, tv);
-          co_await prop;
-        } else {
-          // Quorum-propagated by our write-back: remember for next time,
-          // and a quorum of grants from the query round now backs a lease.
-          dap_for(obj, cfg)->note_confirmed(wb[j].tag);
-          if (fast_path_ && wb_lease[j] > 0) {
-            install_lease(obj, cfg, out[wb_canon[j]], wb_lease[j]);
-          }
-        }
-      }
-    }
-
-    for (std::size_t u : demoted) {
-      auto fallback = read_core(uobjs[u]);
-      out[canon[u]] = co_await fallback;
-    }
-    for (std::size_t s : slots) out[s] = out[canon[uslot[objs[s]]]];
-  } catch (const sim::ConfigRetired&) {
-    retired = true;
-  }
-  if (retired) {
-    // The group's configuration was garbage-collected mid-round: re-sync
-    // every member once, then serve each slot per-object (read_core rides
-    // out any further retirement itself). Re-reading already-served slots
-    // is sound — reads are idempotent.
-    std::set<ObjectId> resynced;
-    for (std::size_t s : slots) {
-      if (!resynced.insert(objs[s]).second) continue;
-      auto rs = resync_after_retire(objs[s]);
-      co_await rs;
-    }
-    for (std::size_t s : slots) {
-      auto fallback = read_core(objs[s]);
-      out[s] = co_await fallback;
-    }
-  }
-  co_return;
-}
-
-sim::Future<std::vector<Tag>> AresClient::write_batch(
+sim::Future<std::vector<TagValue>> AresClient::run_members(
     std::vector<ObjectId> objs, std::vector<ValuePtr> values) {
-  assert(objs.size() == values.size());
-  std::vector<Tag> out(objs.size());
-  std::vector<std::uint64_t> rec(objs.size(), 0);
+  const bool writes = !values.empty();
+  std::vector<Member> ms(objs.size());
   InflightGuards guard;
-  std::set<ObjectId> held;
   for (std::size_t i = 0; i < objs.size(); ++i) {
-    ObjectState& st = obj_state(objs[i]);
-    trim_cseq(objs[i]);
-    if (held.insert(objs[i]).second) guard.hold(st.inflight);
-    poison_lease(objs[i]);  // an own write outdates the cached pair
+    Member& m = ms[i];
+    m.obj = objs[i];
+    if (writes) m.tv.value = values[i];
+    trim_cseq(m.obj);
+    guard.hold(obj_state(m.obj).inflight);  // lazily binds to the default c0
+    // An own write outdates any locally cached pair: the servers' settle
+    // gates exclude the writer itself, so the writer revokes its own lease.
+    if (writes) poison_lease(m.obj);
     if (recorder_ != nullptr) {
-      rec[i] = recorder_->begin(id(), checker::OpKind::kWrite,
-                                simulator().now(), objs[i]);
+      m.rec = recorder_->begin(
+          id(), writes ? checker::OpKind::kWrite : checker::OpKind::kRead,
+          simulator().now(), m.obj);
     }
   }
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    co_await ensure_config(objs[i]);
-  }
-
-  // Group by tail configuration. Unlike reads, duplicate objects are NOT
-  // merged — every member is a distinct write and needs a distinct tag —
-  // so later duplicates take the serialized per-object path.
-  std::map<ConfigId, std::vector<std::size_t>> groups;
-  std::vector<std::size_t> singles;
-  std::set<ObjectId> grouped;
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    const ObjectState& st = obj_state(objs[i]);
-    const ConfigId tail = st.cseq.back().cfg;
-    if (st.synced && mu(objs[i]) == nu(objs[i]) &&
-        dap::batch_capable(registry_.get(tail)) &&
-        grouped.insert(objs[i]).second) {
-      groups[tail].push_back(i);
-    } else {
-      singles.push_back(i);
+  for (;;) {
+    // One wave: every unfinished member, one op per object at a time (a
+    // repeated write needs a distinct tag, so it waits for a later wave).
+    std::vector<std::size_t> wave;
+    std::set<ObjectId> busy;
+    for (std::size_t i = 0; i < ms.size(); ++i) {
+      if (ms[i].step != Member::Step::kDone && busy.insert(ms[i].obj).second) {
+        wave.push_back(i);
+      }
+    }
+    if (wave.empty()) break;
+    for (std::size_t i : wave) {
+      Member& m = ms[i];
+      // Lease fast path: a valid window serves the read locally.
+      if (!writes && m.step == Member::Step::kQuery &&
+          try_lease_read(m.obj, m.tv)) {
+        m.step = Member::Step::kDone;
+        continue;
+      }
+      // Resolve the configuration (zero rounds once synced).
+      if (!m.traversed) co_await ensure_config(m.obj);
+      m.traversed = false;
+    }
+    // Members stable in one batch-capable tail share its rounds; every
+    // other member runs alone.
+    std::vector<std::vector<std::size_t>> groups;
+    std::map<ConfigId, std::size_t> shared;  // tail -> its group
+    for (std::size_t i : wave) {
+      if (ms[i].step == Member::Step::kDone) continue;
+      const ObjectId obj = ms[i].obj;
+      const ObjectState& st = obj_state(obj);
+      const ConfigId tail = st.cseq.back().cfg;
+      if (st.synced && mu(obj) == nu(obj) &&
+          dap::batch_capable(registry_.get(tail))) {
+        auto [it, fresh] = shared.try_emplace(tail, groups.size());
+        if (fresh) groups.emplace_back();
+        groups[it->second].push_back(i);
+      } else {
+        groups.push_back({i});
+      }
+    }
+    for (auto& group : groups) {
+      auto attempt = run_group(ms, group, writes);
+      co_await attempt;
     }
   }
-
-  for (auto& [cfg, slots] : groups) {
-    auto group = write_batch_group(cfg, slots, objs, values, rec, out);
-    co_await group;
-  }
-
-  for (std::size_t i : singles) {
-    auto fallback = write_core(objs[i], values[i], rec[i]);
-    out[i] = co_await fallback;
-  }
-
-  if (recorder_ != nullptr) {
-    for (std::size_t i = 0; i < objs.size(); ++i) {
-      recorder_->end(rec[i], simulator().now(), out[i], values[i]);
+  std::vector<TagValue> out;
+  for (const Member& m : ms) {
+    out.push_back(m.tv);
+    if (recorder_ != nullptr) {
+      recorder_->end(m.rec, simulator().now(), m.tv.tag, m.tv.value);
     }
   }
   co_return out;
 }
 
-sim::Future<void> AresClient::write_batch_group(
-    ConfigId cfg, const std::vector<std::size_t>& slots,
-    const std::vector<ObjectId>& objs, const std::vector<ValuePtr>& values,
-    const std::vector<std::uint64_t>& rec, std::vector<Tag>& out) {
-  // Declared outside the try so retirement recovery can tell which members
-  // already had their tag noted (put_slots) from those that never got one.
-  std::vector<dap::BatchPutItem> puts;
-  std::vector<std::size_t> put_slots;
-  std::vector<std::size_t> demoted_slots;
+sim::Future<void> AresClient::run_group(std::vector<Member>& ms,
+                                        std::vector<std::size_t> group,
+                                        bool writes) {
+  using Step = Member::Step;
   bool retired = false;
   try {
-    const dap::ConfigSpec& spec = registry_.get(cfg);
-    std::vector<ObjectId> gobjs;
-    gobjs.reserve(slots.size());
-    for (std::size_t s : slots) gobjs.push_back(objs[s]);
-    std::vector<Tag> hints;
-    hints.reserve(gobjs.size());
-    for (ObjectId o : gobjs) hints.push_back(dap_for(o, cfg)->confirmed_tag());
-
-    // One batched get-tag round for the whole group.
-    auto tag_fut = dap::batch_get_data(*this, spec, gobjs,
-                                       /*tags_only=*/true, std::move(hints));
-    auto items = co_await tag_fut;
-    for (std::size_t j = 0; j < gobjs.size(); ++j) {
-      if (items[j].next_c.valid()) {
-        note_config_hint(cfg, gobjs[j], items[j].next_c);
-      }
-    }
-
-    for (std::size_t j = 0; j < gobjs.size(); ++j) {
-      const ObjectId obj = gobjs[j];
-      const std::size_t slot = slots[j];
-      if (!obj_state(obj).synced || !group_stable(*this, obj, cfg)) {
-        demoted_slots.push_back(slot);
-        continue;
-      }
-      const Tag tw = items[j].tag.next(id());
-      out[slot] = tw;
-      if (recorder_ != nullptr) {
-        // Record the tag pre-put: a crashed writer's value may surface.
-        recorder_->note_write_tag(rec[slot], tw, values[slot]);
-      }
-      puts.push_back({obj, tw, values[slot]});
-      put_slots.push_back(slot);
-    }
-
-    if (!puts.empty()) {
-      // One put round for the whole group (with write-ack lease grants
-      // under the fast path — every grouped member is in the stable
-      // single-config steady state)...
-      auto put_fut =
-          dap::batch_put_data(*this, spec, puts, /*want_leases=*/fast_path_);
-      auto ack = co_await put_fut;
-      for (std::size_t j = 0; j < puts.size(); ++j) {
-        if (ack.next_cs[j].valid()) {
-          note_config_hint(cfg, puts[j].object, ack.next_cs[j]);
-        }
-      }
-      // ...and the batched post-put configuration check — elided under the
-      // fast path by the same fence argument as write_core: a racing
-      // transfer either observes these tags or left a pointer in the ack
-      // hints just absorbed.
-      std::vector<CseqEntry> nexts(puts.size());
-      if (fast_path_) {
-        note_round_elided();
-      } else {
-        std::vector<ObjectId> put_objs;
-        put_objs.reserve(puts.size());
-        for (const auto& p : puts) put_objs.push_back(p.object);
-        auto check_fut = read_config_batch(cfg, put_objs);
-        nexts = co_await check_fut;
-      }
-      for (std::size_t j = 0; j < puts.size(); ++j) {
-        const ObjectId obj = puts[j].object;
-        ObjectState& st = obj_state(obj);
-        if (nexts[j].valid() && st.cseq.back().cfg == cfg) {
-          set_entry(obj, nu(obj) + 1, nexts[j]);
-          st.synced = false;
-        }
-        if (st.cseq.back().cfg != cfg || !st.synced) {
-          TagValue tv{puts[j].tag, puts[j].value};
-          auto prop = propagate_tail(obj, tv);
-          co_await prop;
-        } else {
-          dap_for(obj, cfg)->note_confirmed(puts[j].tag);
-          // Write-ack lease riding the batch ack: the writer immediately
-          // re-leases its own value (full-quorum grant, min expiry).
-          if (fast_path_ && ack.lease_expiries[j] > 0) {
-            install_lease(obj, cfg, TagValue{puts[j].tag, puts[j].value},
-                          ack.lease_expiries[j]);
+    // --- query phase: max tag (reads: max pair) across µ..ν ---------------
+    std::vector<std::size_t> q;
+    std::ranges::copy_if(group, std::back_inserter(q), [&](std::size_t i) {
+      return ms[i].step == Step::kQuery;
+    });
+    if (!q.empty()) {
+      // Group members sat at µ = ν when grouped; a member alone may span
+      // µ..ν. Any member whose tail moved since is caught below.
+      const ObjectId lead = ms[q.front()].obj;
+      const std::size_t m0 = mu(lead);
+      const std::size_t v0 = nu(lead);
+      const ConfigId tail = cseq(lead)[v0].cfg;
+      std::vector<ObjectId> objs;
+      for (std::size_t i : q) objs.push_back(ms[i].obj);
+      std::vector<dap::GetDataResult> best(q.size());
+      for (std::size_t i = m0; i <= v0; ++i) {
+        // Ask for grants only when the whole sequence is this one
+        // configuration — the settle gates of a superseded configuration
+        // do not cover writes landing in its successors, and a grant the
+        // client cannot install would still stall later writers.
+        const bool want_lease = !writes && fast_path_ && m0 == v0 && i == v0;
+        auto round =
+            query_round(cseq(lead)[i].cfg, objs, /*tags_only=*/writes,
+                        want_lease);
+        const std::vector<dap::GetDataResult> rs = co_await round;
+        for (std::size_t k = 0; k < q.size(); ++k) {
+          if (rs[k].tv.tag > best[k].tv.tag || (!writes && !best[k].tv.value)) {
+            best[k] = rs[k];
           }
         }
       }
+      for (std::size_t k = 0; k < q.size(); ++k) {
+        Member& m = ms[q[k]];
+        // A hint revealed a successor: re-run the phase after a traversal.
+        if (cseq(m.obj).back().cfg != tail) continue;
+        m.step = Step::kPut;
+        if (writes) {
+          m.tv.tag = best[k].tv.tag.next(id());
+          // Record the tag pre-put: a crashed writer's value may surface.
+          if (recorder_ != nullptr) {
+            recorder_->note_write_tag(m.rec, m.tv.tag, m.tv.value);
+          }
+          continue;
+        }
+        m.tv = best[k].tv;
+        if (!m.tv.value) m.tv.value = initial_value();  // initial v0
+        m.lease = best[k].lease_expiry;
+        m.lease_cfg = tail;
+        // Semifast read: a tag already quorum-confirmed in the single
+        // configuration needs no write-back. The confirmation is evidence
+        // about the *past*, so any transfer sampling after our replies sees
+        // the tag by quorum intersection, and a put-config completed before
+        // them showed up as a hint (the re-run above). A write's tag, by
+        // contrast, reaches a quorum only concurrently with its put round.
+        if (fast_path_ && best[k].confirmed && m0 == v0 &&
+            tail_covers_hints(m.obj)) {
+          finish(m);
+        }
+      }
     }
 
-    for (std::size_t slot : demoted_slots) {
-      auto fallback = write_core(objs[slot], values[slot], rec[slot]);
-      out[slot] = co_await fallback;
+    // --- put phase: propagate each pair into the tail ---------------------
+    std::vector<std::size_t> p;
+    std::ranges::copy_if(group, std::back_inserter(p), [&](std::size_t i) {
+      return ms[i].step == Step::kPut;
+    });
+    if (p.empty()) co_return;
+    const ObjectId lead = ms[p.front()].obj;
+    const ConfigId tail = cseq(lead).back().cfg;
+    std::erase_if(p, [&](std::size_t i) {
+      return cseq(ms[i].obj).back().cfg != tail;  // moved: next wave
+    });
+    // Ask for a write-ack lease only in the single-tail steady state the
+    // install premise needs (mirrors the read query's want_lease).
+    const bool want_lease = writes && fast_path_ && obj_state(lead).synced &&
+                            mu(lead) == nu(lead) && tail_covers_hints(lead);
+    std::vector<dap::BatchPutItem> items;
+    for (std::size_t i : p) {
+      items.push_back({ms[i].obj, ms[i].tv.tag, ms[i].tv.value});
+    }
+    auto round = put_round(tail, std::move(items), want_lease);
+    const std::vector<SimTime> grants = co_await round;
+    // The post-put read-config is elidable when the ack quorum came back
+    // hint-free: a racing transfer's fenced read waits for a quorum that
+    // installed the successor pointer, which intersects our ack quorum —
+    // that server either acked our put first (the transfer sees our tag)
+    // or replied fenced first, and then its ack carries the pointer and we
+    // take the round after all (see FastPath.WriteDiscoversReconfig-
+    // CompletingDuringPutRound). LDR tails never elide, so LDR sources
+    // need no fence.
+    bool elided = false;
+    std::vector<std::size_t> check;
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      Member& m = ms[p[k]];
+      const ObjectState& st = obj_state(m.obj);
+      if (!(fast_path_ && st.synced && st.cseq.back().cfg == tail &&
+            tail_covers_hints(m.obj))) {
+        check.push_back(p[k]);
+        continue;
+      }
+      elided = true;
+      // Write-ack lease: a full quorum granted on the ack, certifying our
+      // pair is each granting server's current register — the writer
+      // immediately re-leases its own value. (Reads never ask.)
+      if (grants[k] > 0) {
+        m.lease = grants[k];
+        m.lease_cfg = tail;
+      }
+      finish(m);
+    }
+    if (elided) note_round_elided();
+    for (std::size_t i : check) {
+      Member& m = ms[i];
+      co_await read_config(m.obj);
+      if (cseq(m.obj).back().cfg != tail) {
+        m.traversed = true;  // re-put into the new tail next wave
+      } else {
+        finish(m);
+      }
     }
     co_return;
   } catch (const sim::ConfigRetired&) {
     retired = true;
   }
-
-  // A member configuration was retired by config-lineage GC mid-group.
-  // Re-sync every member once, then finish each slot individually:
-  // members whose tag was already noted with the recorder must re-propagate
-  // the SAME (tag, value) pair (the checker records one tag per write op);
-  // members that never got a tag restart through write_core, which is free
-  // to choose fresh tags and has its own retirement retry loop.
-  if (retired) {
-    std::set<ObjectId> members;
-    for (std::size_t s : slots) members.insert(objs[s]);
-    for (ObjectId o : members) {
-      auto rs = resync_after_retire(o);
-      co_await rs;
-    }
-    for (std::size_t j = 0; j < puts.size(); ++j) {
-      auto done = complete_write(puts[j].object,
-                                 TagValue{puts[j].tag, puts[j].value});
-      co_await done;
-    }
-    const std::set<std::size_t> noted(put_slots.begin(), put_slots.end());
-    for (std::size_t s : slots) {
-      if (noted.contains(s)) continue;
-      auto fallback = write_core(objs[s], values[s], rec[s]);
-      out[s] = co_await fallback;
+  if (!retired) co_return;
+  // A quorum round bounced off garbage-collected state: re-sync every
+  // unfinished member. Reads are side-effect free up to their write-back
+  // and untagged writes may still pick a fresh tag, so both restart in the
+  // next wave; a write whose tag is recorded history re-propagates that
+  // SAME pair instead (complete_write).
+  for (std::size_t i : group) {
+    Member& m = ms[i];
+    if (m.step == Step::kDone) continue;
+    co_await resync_after_retire(m.obj);
+    if (writes && m.step == Step::kPut) {
+      auto fin = complete_write(m.obj, m.tv);
+      co_await fin;
+      m.step = Step::kDone;
+    } else {
+      m.step = Step::kQuery;
     }
   }
-  co_return;
+}
+
+sim::Future<std::vector<dap::GetDataResult>> AresClient::query_round(
+    ConfigId cfg, std::vector<ObjectId> objs, bool tags_only,
+    bool want_lease) {
+  std::vector<dap::GetDataResult> out(objs.size());
+  if (objs.size() == 1) {
+    const std::shared_ptr<dap::Dap>& dap = dap_for(objs.front(), cfg);
+    if (tags_only) {
+      out.front().tv.tag = co_await dap->get_tag();
+    } else {
+      out.front() = co_await dap->get_data_confirmed(want_lease);
+    }
+    co_return out;
+  }
+  const dap::ConfigSpec& spec = registry_.get(cfg);
+  std::vector<Tag> hints;
+  for (ObjectId o : objs) hints.push_back(dap_for(o, cfg)->confirmed_tag());
+  auto fut = dap::batch_get_data(*this, spec, objs, tags_only,
+                                 std::move(hints), want_lease);
+  const std::vector<dap::BatchQueryItem> items = co_await fut;
+  for (std::size_t k = 0; k < objs.size(); ++k) {
+    const dap::BatchQueryItem& item = items[k];
+    if (item.next_c.valid()) note_config_hint(cfg, objs[k], item.next_c);
+    out[k].tv = TagValue{item.tag, item.value};
+    out[k].lease_expiry = item.lease_expiry;
+    // Same semifast rule as the scalar primitive (AbdDap).
+    if (spec.semifast && item.confirmed >= item.tag) {
+      out[k].confirmed = true;
+      dap_for(objs[k], cfg)->note_confirmed(item.tag);
+    }
+  }
+  co_return out;
+}
+
+sim::Future<std::vector<SimTime>> AresClient::put_round(
+    ConfigId cfg, std::vector<dap::BatchPutItem> items, bool want_lease) {
+  if (items.size() == 1) {
+    const dap::BatchPutItem& item = items.front();
+    const TagValue tv{item.tag, item.value};
+    auto put = dap_for(item.object, cfg)->put_data_leased(tv, want_lease);
+    const dap::PutDataResult r = co_await put;
+    co_return std::vector<SimTime>{r.lease_expiry};
+  }
+  auto fut =
+      dap::batch_put_data(*this, registry_.get(cfg), items, want_lease);
+  dap::BatchPutResult ack = co_await fut;
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    if (ack.next_cs[k].valid()) {
+      note_config_hint(cfg, items[k].object, ack.next_cs[k]);
+    }
+    dap_for(items[k].object, cfg)->note_confirmed(items[k].tag);
+  }
+  co_return std::move(ack.lease_expiries);
+}
+
+void AresClient::finish(Member& m) {
+  // The pair is quorum-resident now; install its lease (a read's query
+  // grant, a write's ack grant) unless a successor revealed meanwhile
+  // broke the steady state the grant was minted in.
+  if (fast_path_ && m.lease > 0) {
+    const ObjectState& st = obj_state(m.obj);
+    if (st.synced && mu(m.obj) == nu(m.obj) &&
+        st.cseq.back().cfg == m.lease_cfg) {
+      install_lease(m.obj, m.lease_cfg, m.tv, m.lease);
+    }
+  }
+  m.step = Member::Step::kDone;
 }
 
 // ---------------------------------------------------------------------------
@@ -1127,7 +776,7 @@ sim::Future<void> AresClient::update_config(ObjectId obj) {
     // Fenced on every transfer *source* (i < v): count only replies whose
     // server echoes the installed successor pointer, so the transfer is
     // ordered against concurrent writes whose post-put config check was
-    // elided (see write_core). The fence carries cseq[i+1] and installs it
+    // elided (see run_group). The fence carries cseq[i+1] and installs it
     // on every replying server, so any live quorum suffices. The tail
     // (i == v) has no successor pointer yet and stays unfenced — it is the
     // transfer *destination*, not a source.

@@ -20,8 +20,10 @@
 #include "consensus/paxos.hpp"
 #include "dap/config.hpp"
 #include "dap/dap.hpp"
+#include "dap/messages.hpp"
 #include "sim/process.hpp"
 
+#include <cassert>
 #include <map>
 #include <memory>
 #include <optional>
@@ -57,25 +59,23 @@ class AresClient : public sim::Process {
   [[nodiscard]] sim::Future<TagValue> read(ObjectId obj);
   [[nodiscard]] sim::Future<TagValue> read() { return read(kDefaultObject); }
 
-  /// Batched Algorithm-7 reads: members whose whole cached sequence is one
-  /// batch-capable configuration (see dap::batch_capable) are grouped per
-  /// configuration and served by multi-object quorum rounds — one get-data
-  /// round (plus, when write-back is needed, one put round and one config
-  /// check) for the whole group instead of per member. Members whose
-  /// configuration diverges — mid-reconfig sequences, non-batchable
-  /// protocols, or a piggybacked hint revealing a successor mid-batch —
-  /// fall back to the per-object Algorithm-7 path. Results align with
-  /// `objs`.
+  /// Batched Algorithm-7 reads and writes: the engine of read() and
+  /// write() over many members. Members whose whole cached sequence is one
+  /// batch-capable configuration (see dap::batch_capable) share its quorum
+  /// rounds — one query and at most one put round per group. Every other
+  /// member (mid-reconfig, non-batchable protocol, view moved by a hint)
+  /// runs alone, exactly as a scalar op; a repeated object runs again in a
+  /// later wave. `values` parallels `objs`; the results — the pair each
+  /// member read or wrote — align with `objs`.
   [[nodiscard]] sim::Future<std::vector<TagValue>> read_batch(
-      std::vector<ObjectId> objs);
-
-  /// Batched Algorithm-7 writes (same grouping and fallback rules; one
-  /// batched get-tag round, one batched put round, one batched post-put
-  /// config check per group). Duplicate objects within one batch are
-  /// serialized through the per-object path so every member gets a
-  /// distinct tag. `values` parallels `objs`.
-  [[nodiscard]] sim::Future<std::vector<Tag>> write_batch(
-      std::vector<ObjectId> objs, std::vector<ValuePtr> values);
+      std::vector<ObjectId> objs) {
+    return run_members(std::move(objs), {});
+  }
+  [[nodiscard]] sim::Future<std::vector<TagValue>> write_batch(
+      std::vector<ObjectId> objs, std::vector<ValuePtr> values) {
+    assert(objs.size() == values.size());
+    return run_members(std::move(objs), std::move(values));
+  }
 
   /// Algorithm 5 reconfig(c) on `obj`: registers `new_spec` and attempts to
   /// append it to `obj`'s GL. Completes with the configuration id actually
@@ -273,10 +273,6 @@ class AresClient : public sim::Process {
   /// retirer's finalize makes µ jump past every retired entry).
   [[nodiscard]] sim::Future<void> resync_after_retire(ObjectId obj);
 
-  /// One attempt of the Alg.-7 read body (throws sim::ConfigRetired when a
-  /// quorum round hits garbage-collected state; read_core retries).
-  [[nodiscard]] sim::Future<TagValue> read_core_once(ObjectId obj);
-
   /// Finish a write whose tag is already recorded history: propagate the
   /// SAME pair into the (re-synced) tail until the sequence is stable,
   /// riding out further retirements. Never picks a new tag — the checker
@@ -310,37 +306,58 @@ class AresClient : public sim::Process {
   /// invalidation disturbed the steady state).
   void poison_lease(ObjectId obj);
 
-  /// The Alg.-7 operation bodies, minus history recording (the public
-  /// read/write wrappers and the batch paths record around them; `op` is
-  /// the recorder handle for the mid-operation note_write_tag, 0 if none).
-  [[nodiscard]] sim::Future<TagValue> read_core(ObjectId obj);
-  [[nodiscard]] sim::Future<Tag> write_core(ObjectId obj, ValuePtr value,
-                                            std::uint64_t op);
+  // --- the op engine (Algorithm 7) ------------------------------------------
+  //
+  // Waves: every unfinished member resolves its configuration; members
+  // stable in one batch-capable configuration form a group, every other
+  // member a group of one; each group runs one attempt of its phase. A
+  // member whose view moved (a hint, a post-put check, a ConfigRetired
+  // re-sync) goes to the next wave.
 
-  /// One batched nextC quorum sample on configuration `c` for every listed
-  /// object — the post-put configuration check of a batched operation.
-  /// Returns the best entry seen per object (⊥ when no server knows a
-  /// successor), aligned with `objs`.
-  [[nodiscard]] sim::Future<std::vector<CseqEntry>> read_config_batch(
-      ConfigId c, std::vector<ObjectId> objs);
+  /// One Alg.-7 operation inside the engine.
+  struct Member {
+    enum class Step { kQuery, kPut, kDone };
+    ObjectId obj = kNoObject;
+    std::uint64_t rec = 0;  // recorder handle (0 = none)
+    Step step = Step::kQuery;
+    /// Read: the pair read (written back in kPut). Write: the value, then
+    /// its tag — recorded history from the moment it is chosen.
+    TagValue tv;
+    /// The full-quorum lease grant on `tv` (0 = none): a read's from its
+    /// tail query, a write's from its put acks.
+    SimTime lease = 0;
+    ConfigId lease_cfg = kNoConfig;
+    /// A post-put read_config found a successor: the next wave re-puts
+    /// into it without another traversal.
+    bool traversed = false;
+  };
 
-  /// One configuration group of read_batch / write_batch, including the
-  /// per-group retirement recovery (a ConfigRetired bounce re-syncs the
-  /// members and finishes them per-object — reads re-run read_core; writes
-  /// whose tag was already noted re-propagate that SAME tag via
-  /// complete_write, the rest fall back to write_core).
-  [[nodiscard]] sim::Future<void> read_batch_group(
-      ConfigId cfg, const std::vector<std::size_t>& slots,
-      const std::vector<ObjectId>& objs, std::vector<TagValue>& out);
-  [[nodiscard]] sim::Future<void> write_batch_group(
-      ConfigId cfg, const std::vector<std::size_t>& slots,
-      const std::vector<ObjectId>& objs, const std::vector<ValuePtr>& values,
-      const std::vector<std::uint64_t>& rec, std::vector<Tag>& out);
+  /// The engine: reads of `objs` when `values` is empty, else writes.
+  /// Records every op; returns each member's pair, aligned with `objs`.
+  [[nodiscard]] sim::Future<std::vector<TagValue>> run_members(
+      std::vector<ObjectId> objs, std::vector<ValuePtr> values);
 
-  /// Alg.-7 propagation loop for a pair that already rests at a quorum of
-  /// the old tail after a successor configuration was revealed: re-put into
-  /// each new tail until the sequence stops growing.
-  [[nodiscard]] sim::Future<void> propagate_tail(ObjectId obj, TagValue tv);
+  /// One attempt of the phase each member of `group` is in. A
+  /// ConfigRetired bounce re-syncs the members: reads and untagged writes
+  /// restart next wave, tagged writes finish through complete_write.
+  [[nodiscard]] sim::Future<void> run_group(std::vector<Member>& ms,
+                                            std::vector<std::size_t> group,
+                                            bool writes);
+
+  /// One quorum round on `cfg` for every listed object: the scalar Dap
+  /// primitive for one object, the dap/batch primitive (absorbing each
+  /// member's hint) for several — the only place the engine tells a batch
+  /// from a scalar op. query_round runs get-data (get-tag when
+  /// `tags_only`); put_round returns each item's write-ack lease grant.
+  [[nodiscard]] sim::Future<std::vector<dap::GetDataResult>> query_round(
+      ConfigId cfg, std::vector<ObjectId> objs, bool tags_only,
+      bool want_lease);
+  [[nodiscard]] sim::Future<std::vector<SimTime>> put_round(
+      ConfigId cfg, std::vector<dap::BatchPutItem> items, bool want_lease);
+
+  /// Install the member's lease if the steady state it was granted in
+  /// still holds, and mark the member done.
+  void finish(Member& m);
 
   /// True when piggybacked hints on `obj`'s current tail configuration are
   /// guaranteed to reveal any installed successor (the tail's DAP phase

@@ -49,24 +49,4 @@ class WriteConfigAck final : public sim::RpcReply {
   }
 };
 
-/// READ-CONFIG-BATCH: nextC of every listed object's (configuration,
-/// object) pair, in one RPC — the post-put configuration check of a
-/// batched operation (one quorum round for the whole batch instead of one
-/// per member). `objects` rides next to the envelope's (config, object).
-class ReadConfigBatchReq final : public sim::RpcRequest {
- public:
-  std::vector<ObjectId> objects;
-  [[nodiscard]] std::string_view type_name() const override {
-    return "ares.read_config_batch";
-  }
-};
-
-class ReadConfigBatchReply final : public sim::RpcReply {
- public:
-  std::vector<CseqEntry> nexts;  // aligned with the request's objects
-  [[nodiscard]] std::string_view type_name() const override {
-    return "ares.read_config_batch_reply";
-  }
-};
-
 }  // namespace ares::reconfig

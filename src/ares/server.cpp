@@ -197,20 +197,6 @@ void AresServer::handle(const sim::Message& msg) {
     reply_to(msg, std::move(reply));
     return;
   }
-  if (auto batch =
-          std::dynamic_pointer_cast<const ReadConfigBatchReq>(msg.body)) {
-    // Pure lookups (no materialization): a batched config check spanning
-    // many objects must not grow per-object acceptor state.
-    auto reply = std::make_shared<ReadConfigBatchReply>();
-    reply->nexts.reserve(batch->objects.size());
-    for (ObjectId obj : batch->objects) {
-      auto oit = pc->objects.find(obj);
-      reply->nexts.push_back(oit == pc->objects.end() ? CseqEntry{}
-                                                      : oit->second.nextc);
-    }
-    reply_to(msg, std::move(reply));
-    return;
-  }
   if (auto write = std::dynamic_pointer_cast<const WriteConfigReq>(msg.body)) {
     // Alg. 6: adopt if nextC = ⊥ or still pending; once finalized, the
     // pointer never changes again (Lemma 46).

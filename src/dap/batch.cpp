@@ -1,5 +1,7 @@
 #include "dap/batch.hpp"
 
+#include "dap/dap.hpp"
+
 #include <cassert>
 
 namespace ares::dap {
@@ -33,15 +35,8 @@ sim::Future<std::vector<BatchQueryItem>> batch_get_data(
                                                     std::move(req));
   co_await qc.wait_for(spec.quorum_size());
 
+  std::vector<QuorumFold> folds(objects.size());
   std::vector<BatchQueryItem> best(objects.size());
-  std::vector<std::size_t> grants(objects.size(), 0);
-  std::vector<SimTime> grant_expiry(objects.size(),
-                                    std::numeric_limits<SimTime>::max());
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    best[i].object = objects[i];
-    best[i].tag = kInitialTag;
-    best[i].confirmed = kInitialTag;
-  }
   for (const auto& a : qc.arrivals()) {
     // Replies echo the request's object order; tolerate short replies
     // defensively (a foreign or truncated reply contributes nothing).
@@ -49,25 +44,16 @@ sim::Future<std::vector<BatchQueryItem>> batch_get_data(
     for (std::size_t i = 0; i < n; ++i) {
       const BatchQueryItem& item = a.reply->items[i];
       if (item.object != objects[i]) continue;
-      if (item.tag > best[i].tag || (item.tag == best[i].tag &&
-                                     !best[i].value && item.value)) {
-        best[i].tag = item.tag;
-        best[i].value = item.value;
-      }
-      best[i].confirmed = std::max(best[i].confirmed, item.confirmed);
+      folds[i].add(item.tag, item.value, item.confirmed, item.lease_expiry);
       merge_next(best[i].next_c, item.next_c);
-      if (item.lease_expiry > 0) {
-        ++grants[i];
-        grant_expiry[i] = std::min(grant_expiry[i], item.lease_expiry);
-      }
     }
   }
-  // Per member: only a full quorum of grants in this round makes a
-  // trustworthy lease (see AbdDap::get_data_confirmed); report the minimum
-  // expiry then, 0 otherwise.
   for (std::size_t i = 0; i < objects.size(); ++i) {
-    best[i].lease_expiry =
-        grants[i] >= spec.quorum_size() ? grant_expiry[i] : 0;
+    best[i].object = objects[i];
+    best[i].tag = folds[i].best.tag;
+    best[i].value = folds[i].best.value;
+    best[i].confirmed = folds[i].confirmed;
+    best[i].lease_expiry = folds[i].lease(spec.quorum_size());
   }
   co_return best;
 }
@@ -101,10 +87,7 @@ sim::Future<BatchPutResult> batch_put_data(
 
   BatchPutResult result;
   result.next_cs.resize(items.size());
-  result.lease_expiries.assign(items.size(), 0);
-  std::vector<std::size_t> grants(items.size(), 0);
-  std::vector<SimTime> grant_expiry(items.size(),
-                                    std::numeric_limits<SimTime>::max());
+  std::vector<QuorumFold> folds(items.size());
   for (const auto& a : qc.arrivals()) {
     const std::size_t n =
         std::min(a.reply->next_cs.size(), result.next_cs.size());
@@ -114,21 +97,14 @@ sim::Future<BatchPutResult> batch_put_data(
     const std::size_t m =
         std::min(a.reply->lease_expiries.size(), items.size());
     for (std::size_t i = 0; i < m; ++i) {
-      if (a.reply->lease_expiries[i] > 0) {
-        ++grants[i];
-        grant_expiry[i] = std::min(grant_expiry[i], a.reply->lease_expiries[i]);
-      }
+      folds[i].add_grant(a.reply->lease_expiries[i]);
     }
   }
   // Per item: only a full quorum of granting acks makes an enforceable
-  // write-ack lease (every later put's ack quorum then intersects the
-  // grant set); report the minimum expiry then, 0 otherwise.
-  if (want_leases) {
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (grants[i] >= spec.quorum_size()) {
-        result.lease_expiries[i] = grant_expiry[i];
-      }
-    }
+  // write-ack lease (see QuorumFold::lease).
+  result.lease_expiries.reserve(items.size());
+  for (const QuorumFold& f : folds) {
+    result.lease_expiries.push_back(f.lease(spec.quorum_size()));
   }
   co_return result;
 }

@@ -1,9 +1,9 @@
 // Client-side batched multi-object quorum primitives: one QueryBatch /
 // PutBatch round over a configuration's servers covers every listed object,
 // so B objects sharing a configuration cost one quorum round instead of B.
-// These are the building blocks the Store adapters (and AresClient's
-// batched Alg.-7 paths) compose; the per-configuration grouping and the
-// reconfiguration bookkeeping live in the callers.
+// These are the building blocks the Store adapters (and AresClient's op
+// engine, for groups of two or more) compose; the per-configuration
+// grouping and the reconfiguration bookkeeping live in the callers.
 #pragma once
 
 #include "dap/config.hpp"
@@ -39,11 +39,11 @@ namespace ares::dap {
 /// What one batched put-data round learned, per request item (both vectors
 /// aligned with `items`).
 struct BatchPutResult {
-  /// Ack-time nextC hints. Under fenced transfer reads a fully hint-free
-  /// ack quorum proves no transfer can have missed these tags (see
-  /// AresClient::write_batch), so the batched post-put config check is
-  /// elidable; with the fast path off they remain an opportunistic
-  /// staleness signal only.
+  /// Ack-time nextC hints. Under fenced transfer reads a hint-free ack
+  /// quorum proves no transfer can have missed an item's tag (see
+  /// AresClient::run_group), so its post-put config check is elidable;
+  /// with the fast path off they remain an opportunistic staleness signal
+  /// only.
   std::vector<CseqEntry> next_cs;
   /// Write-ack lease expiry per item: the min expiry across a full quorum
   /// of granting acks, 0 when any counted ack declined (only a

@@ -13,6 +13,7 @@
 #include "sim/coro.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace ares::dap {
 
@@ -38,6 +39,37 @@ struct GetDataResult {
 /// than a quorum granted, or the caller did not ask.
 struct PutDataResult {
   SimTime lease_expiry = 0;
+};
+
+/// One object's replies to one quorum round, folded — shared by the scalar
+/// (AbdDap) and batched (dap/batch) rounds: the max-tag pair (a reply with a
+/// value wins a tag tie), the max confirmed tag, and the lease grants. Only
+/// a full quorum of grants in one round backs a lease — every later put ack
+/// quorum then intersects the grant set, so at least one enforcing server
+/// gates any newer write — and its window is the minimum grant expiry.
+struct QuorumFold {
+  TagValue best{kInitialTag, nullptr};
+  Tag confirmed = kInitialTag;
+  std::size_t grants = 0;
+  SimTime min_expiry = std::numeric_limits<SimTime>::max();
+
+  void add(const Tag& tag, const ValuePtr& value, const Tag& server_confirmed,
+           SimTime lease_expiry) {
+    if (tag > best.tag || (tag == best.tag && !best.value && value)) {
+      best = TagValue{tag, value};
+    }
+    confirmed = std::max(confirmed, server_confirmed);
+    add_grant(lease_expiry);
+  }
+  void add_grant(SimTime lease_expiry) {
+    if (lease_expiry == 0) return;
+    ++grants;
+    min_expiry = std::min(min_expiry, lease_expiry);
+  }
+  /// The lease the round backs (0 = none).
+  [[nodiscard]] SimTime lease(std::size_t quorum) const {
+    return grants >= quorum ? min_expiry : 0;
+  }
 };
 
 class Dap {
@@ -79,7 +111,7 @@ class Dap {
   /// superseded. Combined with quorum intersection this guarantees the
   /// transfer sees every put-data that completed *hint-free* in this
   /// configuration — the property that makes the writer's post-put config
-  /// check elidable (see AresClient::write_core). The caller passes the
+  /// check elidable (see AresClient::run_group). The caller passes the
   /// decided successor entry; the query piggybacks it and each server
   /// installs it before replying (Alg. 6 adopt rule), so the fence is
   /// self-establishing. Liveness therefore needs only *some* quorum of

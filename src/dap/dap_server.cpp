@@ -48,87 +48,100 @@ bool DapServer::absorb_confirmations(const sim::Message& msg) {
 
 bool DapServer::handle_batch(ServerContext& ctx, const sim::Message& msg) {
   if (!supports_batch()) return false;
-  auto rpc = std::dynamic_pointer_cast<const sim::RpcRequest>(msg.body);
-  if (!rpc) return false;
-
   if (auto query = std::dynamic_pointer_cast<const QueryBatchReq>(msg.body)) {
     auto reply = std::make_shared<QueryBatchReply>();
     reply->items.reserve(query->objects.size());
     for (ObjectId obj : query->objects) {
-      BatchQueryItem item;
-      item.object = obj;
-      const TagValue tv = query_one(obj);
-      item.tag = tv.tag;
-      if (!query->tags_only) {
-        note_mix(obj, /*is_write=*/false);
-        item.value = tv.value;
-        // Per-member lease grants, only when asked for: get-tag rounds
-        // serve writers and lease-blind readers never install, so minting
-        // for them would stall later writers for nothing.
-        if (query->want_leases) {
-          item.lease_expiry = maybe_grant_lease(ctx, obj, msg.from, tv.tag);
-        }
-      }
-      item.confirmed = confirmed_tag(obj);
-      // Per-member piggybacked configuration discovery: the envelope's
-      // next_c (stamped by reply_to) covers only the envelope object.
-      item.next_c = ctx.process.next_config_hint(rpc->config, obj);
-      reply->items.push_back(std::move(item));
+      reply->items.push_back(query_member(ctx, obj, msg.from,
+                                          query->tags_only,
+                                          query->want_leases));
     }
     ctx.process.reply_to(msg, std::move(reply));
     return true;
   }
 
   if (auto put = std::dynamic_pointer_cast<const PutBatchReq>(msg.body)) {
-    for (const auto& item : put->items) {
-      note_mix(item.object, /*is_write=*/true);
-      put_one(item.object, item.tag, item.value);
-    }
-    // The ack is withheld until every member's outstanding leases settled
-    // (no-op without leases). Values are adopted immediately either way —
-    // only the ack, i.e. the writer's completion, is gated. next_cs are
-    // sampled at send time: a put-config landing during a settle window is
-    // then visible in the ack hints. The ServerContext is stack-allocated
-    // in the caller, so the lambda captures its stable pieces and rebuilds
-    // one for the grant path.
+    // next_cs are sampled at send time: a put-config landing during a
+    // settle window is then visible in the ack hints.
     sim::Process* proc = &ctx.process;
-    sim::Message saved = msg;
-    auto pending = std::make_shared<std::size_t>(put->items.size() + 1);
-    auto finish = [this, proc, saved, put, pending, spec = &ctx.config,
-                   registry = &ctx.registry, from = msg.from] {
-      if (--*pending != 0) return;
-      auto reply = std::make_shared<PutBatchReply>();
-      reply->next_cs.reserve(put->items.size());
-      for (const auto& item : put->items) {
-        reply->next_cs.push_back(
-            proc->next_config_hint(put->config, item.object));
-      }
-      if (put->want_leases) {
-        ServerContext ctx2{*proc, *spec, *registry};
-        reply->lease_expiries.reserve(put->items.size());
-        for (const auto& item : put->items) {
-          // Grant only when the ack'd pair IS still this server's current
-          // register (same rule as the scalar WriteAck): a newer concurrent
-          // write processed before this ack must refuse the grant, or the
-          // writer could cache a superseded pair under an enforceable
-          // lease.
-          SimTime expiry = 0;
-          if (query_one(item.object).tag == item.tag) {
-            expiry = maybe_grant_lease(ctx2, item.object, from, item.tag);
-          }
-          reply->lease_expiries.push_back(expiry);
-        }
-      }
-      proc->reply_to(saved, std::move(reply));
-    };
-    for (const auto& item : put->items) {
-      settle_leases(ctx, item.object, item.tag, msg.from, finish);
-    }
-    finish();  // the +1 guard: fire only after every settle registered
+    put_members(ctx, msg, put->items, put->want_leases,
+                [proc, put](std::vector<SimTime> grants) {
+                  auto reply = std::make_shared<PutBatchReply>();
+                  reply->next_cs.reserve(put->items.size());
+                  for (const auto& item : put->items) {
+                    reply->next_cs.push_back(
+                        proc->next_config_hint(put->config, item.object));
+                  }
+                  if (put->want_leases) {
+                    reply->lease_expiries = std::move(grants);
+                  }
+                  return reply;
+                });
     return true;
   }
 
   return false;
+}
+
+BatchQueryItem DapServer::query_member(ServerContext& ctx, ObjectId obj,
+                                       ProcessId from, bool tags_only,
+                                       bool want_lease) {
+  BatchQueryItem item;
+  item.object = obj;
+  const TagValue tv = query_one(obj);
+  item.tag = tv.tag;
+  if (!tags_only) {
+    note_mix(obj, /*is_write=*/false);
+    item.value = tv.value;
+    // Lease grants only when asked for: get-tag rounds serve writers and
+    // lease-blind readers never install, so minting for them would stall
+    // later writers for nothing.
+    if (want_lease) {
+      item.lease_expiry = maybe_grant_lease(ctx, obj, from, tv.tag);
+    }
+  }
+  item.confirmed = confirmed_tag(obj);
+  // Per-member piggybacked configuration discovery: a batch envelope's
+  // next_c (stamped by reply_to) covers only the envelope object.
+  item.next_c = ctx.process.next_config_hint(ctx.config.id, obj);
+  return item;
+}
+
+void DapServer::put_members(
+    ServerContext& ctx, const sim::Message& msg,
+    std::vector<BatchPutItem> items, bool want_leases,
+    std::function<std::shared_ptr<sim::RpcReply>(std::vector<SimTime>)>
+        make_ack) {
+  for (const auto& item : items) {
+    note_mix(item.object, /*is_write=*/true);
+    put_one(item.object, item.tag, item.value);
+  }
+  // Adopted now; only the ack — the writer's completion — waits for every
+  // item's colliding leases to settle. The callback rebuilds the caller's
+  // stack-allocated ServerContext from its stable pieces for the grants.
+  const auto shared = std::make_shared<const std::vector<BatchPutItem>>(
+      std::move(items));
+  auto pending = std::make_shared<std::size_t>(shared->size() + 1);
+  auto finish = [this, proc = &ctx.process, saved = msg, shared, want_leases,
+                 make_ack = std::move(make_ack), pending, spec = &ctx.config,
+                 registry = &ctx.registry] {
+    if (--*pending != 0) return;
+    std::vector<SimTime> grants(shared->size(), 0);
+    if (want_leases) {
+      ServerContext ctx2{*proc, *spec, *registry};
+      for (std::size_t k = 0; k < shared->size(); ++k) {
+        const auto& [obj, tag, value] = (*shared)[k];
+        if (query_one(obj).tag == tag) {
+          grants[k] = maybe_grant_lease(ctx2, obj, saved.from, tag);
+        }
+      }
+    }
+    proc->reply_to(saved, make_ack(std::move(grants)));
+  };
+  for (const auto& item : *shared) {
+    settle_leases(ctx, item.object, item.tag, msg.from, finish);
+  }
+  finish();  // the +1 guard: fire only after every settle registered
 }
 
 // ---------------------------------------------------------------------------

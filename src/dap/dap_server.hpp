@@ -5,8 +5,9 @@
 // is keyed internally by the ObjectId carried in each request.
 //
 // Batched multi-object primitives (QueryBatchReq / PutBatchReq): the base
-// class serves them generically via handle_batch(), iterating per-object
-// state through the query_one/put_one hooks a protocol implements.
+// class serves them generically via handle_batch(), running the same
+// per-object bodies (query_member / put_members over the query_one /
+// put_one hooks a protocol implements) as the protocol's scalar handlers.
 // Whole-replica protocols (ABD) support them; coded / role-split protocols
 // (TREAS, LDR) report supports_batch() == false and clients fall back to
 // per-object operations (see dap::batch_capable).
@@ -159,14 +160,30 @@ class DapServer {
   /// Protocol handlers call this before their own dispatch.
   bool absorb_confirmations(const sim::Message& msg);
 
-  /// Serve QueryBatchReq / PutBatchReq by iterating per-object state
-  /// through query_one/put_one (requires supports_batch()). Returns true
-  /// iff the message was a batch request and was consumed. Protocol
-  /// handlers call this after absorb_confirmations.
+  /// Serve QueryBatchReq / PutBatchReq by running query_member /
+  /// put_members over per-object state (requires supports_batch()).
+  /// Returns true iff the message was a batch request and was consumed.
+  /// Protocol handlers call this after absorb_confirmations.
   bool handle_batch(ServerContext& ctx, const sim::Message& msg);
 
-  /// Per-object whole-replica hooks backing handle_batch. Only protocols
-  /// with supports_batch() == true implement them.
+  /// The per-object bodies the scalar handlers and handle_batch share.
+  /// query_member answers one object's get-data (get-tag if `tags_only`):
+  /// pair, confirmed tag, nextC, and a read-lease grant when asked.
+  /// put_members adopts every item now and sends `make_ack`'s reply once
+  /// their colliding leases settled, passing each item's write-ack grant —
+  /// nonzero only if asked and the pair IS still the register, so a writer
+  /// never caches a pair a newer concurrent write already superseded.
+  [[nodiscard]] BatchQueryItem query_member(ServerContext& ctx, ObjectId obj,
+                                            ProcessId from, bool tags_only,
+                                            bool want_lease);
+  void put_members(
+      ServerContext& ctx, const sim::Message& msg,
+      std::vector<BatchPutItem> items, bool want_leases,
+      std::function<std::shared_ptr<sim::RpcReply>(std::vector<SimTime>)>
+          make_ack);
+
+  /// Per-object whole-replica hooks backing query_member / put_members.
+  /// Only protocols with supports_batch() == true implement them.
   [[nodiscard]] virtual TagValue query_one(ObjectId obj) const {
     (void)obj;
     return {};

@@ -142,11 +142,11 @@ class PutBatchReq final : public sim::RpcRequest {
 
 class PutBatchReply final : public sim::RpcReply {
  public:
-  /// Ack-time nextC per request item. Under fenced transfer reads a fully
-  /// hint-free batch ack quorum proves no racing reconfiguration can have
-  /// transferred state without these tags (see AresClient::write_batch) —
-  /// the batched post-put config check is then elidable; with the fast
-  /// path off it remains an opportunistic staleness signal only.
+  /// Ack-time nextC per request item. Under fenced transfer reads a
+  /// hint-free ack quorum proves no racing reconfiguration can have
+  /// transferred state without the item's tag (see AresClient::run_group) —
+  /// its post-put config check is then elidable; with the fast path off it
+  /// remains an opportunistic staleness signal only.
   std::vector<CseqEntry> next_cs;
   /// Write-ack lease grant expiry per request item, 0 = no grant (only
   /// present when the request asked; same semantics as

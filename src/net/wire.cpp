@@ -445,15 +445,6 @@ template <typename Ar> void serialize(Ar& ar, reconfig::WriteConfigReq& m) {
 template <typename Ar> void serialize(Ar& ar, reconfig::WriteConfigAck& m) {
   base_fields(ar, m);
 }
-template <typename Ar> void serialize(Ar& ar, reconfig::ReadConfigBatchReq& m) {
-  base_fields(ar, m);
-  field(ar, m.objects);
-}
-template <typename Ar>
-void serialize(Ar& ar, reconfig::ReadConfigBatchReply& m) {
-  base_fields(ar, m);
-  field(ar, m.nexts);
-}
 
 // paxos
 template <typename Ar> void serialize(Ar& ar, consensus::PrepareReq& m) {
@@ -649,13 +640,11 @@ const Entry kEntries[] = {
     entry<ldr::PutDataAck>(35, "ldr.put_data_ack"),
     entry<ldr::GetDataReq>(36, "ldr.get_data"),
     entry<ldr::GetDataReply>(37, "ldr.get_data_reply"),
-    // ares reconfiguration: 40-45
+    // ares reconfiguration: 40-43 (44-45 retired: never reuse)
     entry<reconfig::ReadConfigReq>(40, "ares.read_config"),
     entry<reconfig::ReadConfigReply>(41, "ares.read_config_reply"),
     entry<reconfig::WriteConfigReq>(42, "ares.write_config"),
     entry<reconfig::WriteConfigAck>(43, "ares.write_config_ack"),
-    entry<reconfig::ReadConfigBatchReq>(44, "ares.read_config_batch"),
-    entry<reconfig::ReadConfigBatchReply>(45, "ares.read_config_batch_reply"),
     // paxos: 50-54
     entry<consensus::PrepareReq>(50, "paxos.prepare"),
     entry<consensus::PrepareReply>(51, "paxos.promise"),

@@ -174,6 +174,72 @@ TEST(Batch, StaticStoreBatchesAbdReads) {
   EXPECT_TRUE(verdict.ok) << verdict.violation;
 }
 
+// --- a scalar op is a batch of one ------------------------------------------
+
+struct Cost {
+  std::uint64_t rounds = 0;
+  std::uint64_t messages = 0;  // sent + received
+  std::uint64_t bytes = 0;     // sent + received, data + metadata
+  bool operator==(const Cost&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Cost& c) {
+  return os << "{rounds " << c.rounds << ", messages " << c.messages
+            << ", bytes " << c.bytes << "}";
+}
+
+/// Traffic of one operation of `client`, late quorum replies and confirm
+/// broadcasts included (the simulator is drained on both sides).
+template <typename Op>
+Cost cost_of(harness::AresCluster& cluster, reconfig::AresClient& client,
+             Op op) {
+  cluster.sim().run();
+  const sim::TrafficStats before = client.traffic();
+  (void)sim::run_to_completion(cluster.sim(), op());
+  cluster.sim().run();
+  const sim::TrafficStats& after = client.traffic();
+  return Cost{after.quorum_rounds - before.quorum_rounds,
+              after.messages_sent + after.messages_received -
+                  before.messages_sent - before.messages_received,
+              after.bytes_total() - before.bytes_total()};
+}
+
+/// In steady state a one-member batch runs exactly the scalar op: the
+/// same rounds, messages and bytes.
+void expect_batch_of_one_costs_a_scalar_op(
+    const harness::AresClusterOptions& o) {
+  harness::AresCluster cluster(o);
+  warm_up(cluster, 1);
+  reconfig::AresClient& client = cluster.client(1);
+
+  const Cost read = cost_of(cluster, client, [&] { return client.read(0); });
+  const Cost batch_read =
+      cost_of(cluster, client, [&] { return client.read_batch({0}); });
+  EXPECT_GE(read.rounds, 1u);
+  EXPECT_EQ(batch_read, read);
+
+  const Cost write = cost_of(cluster, client, [&] {
+    return client.write(0, make_value(make_test_value(64, 1)));
+  });
+  const Cost batch_write = cost_of(cluster, client, [&] {
+    return client.write_batch({0}, {make_value(make_test_value(64, 2))});
+  });
+  EXPECT_GE(write.rounds, 2u);
+  EXPECT_EQ(batch_write, write);
+  expect_atomic(cluster);
+}
+
+TEST(Batch, OneMemberBatchCostsExactlyAScalarOpOnAbd) {
+  expect_batch_of_one_costs_a_scalar_op(abd_cluster(1));
+}
+
+TEST(Batch, OneMemberBatchCostsExactlyAScalarOpOnTreas) {
+  harness::AresClusterOptions o = abd_cluster(1);
+  o.initial_protocol = dap::Protocol::kTreas;
+  o.initial_k = 3;
+  expect_batch_of_one_costs_a_scalar_op(o);
+}
+
 // --- batches spanning configurations ----------------------------------------
 
 TEST(Batch, BatchSpanningTwoConfigurationsGroupsPerConfig) {

@@ -43,7 +43,7 @@ TEST(FastPath, QuiescentSteadyStateRoundCounts) {
   // Warmup: the first operation pays the explicit read-config sync
   // (1 round) on top of get-tag + put-data; the post-put read-config is
   // elided (fenced transfer reads make the hint-free ack quorum proof
-  // enough — see AresClient::write_core).
+  // enough — see AresClient::run_group).
   auto payload = make_value(make_test_value(128, 1));
   (void)sim::run_to_completion(cluster.sim(), client.write(payload));
   EXPECT_EQ(client.traffic().quorum_rounds, 3u);

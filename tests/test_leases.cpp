@@ -4,6 +4,7 @@
 // writes (wait vs invalidate settle policies), reconfigurations (including
 // Rebalancer migrations), lease expiry, clock skew past the ε guard, and
 // crashes on either side of the grant.
+#include "abd/messages.hpp"
 #include "checker/atomicity.hpp"
 #include "dap/messages.hpp"
 #include "harness/ares_cluster.hpp"
@@ -366,9 +367,9 @@ TEST(Leases, BatchReadsServeLeasedMembersLocally) {
   }
 
   // Member 3 goes cold (another client writes it → our client holds no
-  // lease for it); a mixed batch fans out a QueryBatchReq listing ONLY the
-  // cold member: 5 requests of 32 + 16·1 metadata bytes each. A
-  // lease-blind batch would list all four members (32 + 16·4 per request).
+  // lease for it); a mixed batch queries ONLY the cold member — alone, so
+  // as a scalar abd.query: 5 requests. A lease-blind batch would send a
+  // QueryBatchReq listing all four members.
   auto v3 = make_value(make_test_value(64, 99));
   const Tag t3 = sim::run_to_completion(cluster.sim(), other.write(3, v3));
   // Drain the in-flight confirm broadcasts without draining the lease
@@ -381,12 +382,14 @@ TEST(Leases, BatchReadsServeLeasedMembersLocally) {
                                    client.read_batch({0, 1, 2, 3}));
   EXPECT_EQ(client.traffic().quorum_rounds - mid.quorum_rounds, 1u);
   EXPECT_EQ(client.traffic().messages_sent - mid.messages_sent, 5u);
-  // The fan-out's metadata cost is that of a batch request listing ONLY the
-  // cold member: one object id and one confirmed hint on the wire (measured
-  // by the codec — sizes depend only on the member counts).
-  dap::QueryBatchReq probe;
-  probe.objects = {3};
-  probe.confirmed_hints = {Tag{}};
+  // The fan-out's metadata cost is that of the scalar query, which is
+  // smaller than even a one-member batch request (measured by the codec —
+  // sizes depend only on the member counts).
+  const abd::QueryReq probe;
+  dap::QueryBatchReq one_member;
+  one_member.objects = {3};
+  one_member.confirmed_hints = {Tag{}};
+  EXPECT_LT(probe.metadata_bytes(), one_member.metadata_bytes());
   EXPECT_EQ(client.traffic().metadata_bytes_sent - mid.metadata_bytes_sent,
             5u * probe.metadata_bytes());
   EXPECT_EQ(b3[3].tag, t3);

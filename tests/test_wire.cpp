@@ -342,20 +342,6 @@ const std::map<std::string, Generator>& generators() {
       fill_reply(*p, g);
       return p;
     });
-    add([](Rng& g) {
-      auto p = std::make_shared<ares::reconfig::ReadConfigBatchReq>();
-      fill_req(*p, g);
-      p->objects.resize(rcount(g));
-      for (auto& o : p->objects) o = r32(g);
-      return p;
-    });
-    add([](Rng& g) {
-      auto p = std::make_shared<ares::reconfig::ReadConfigBatchReply>();
-      fill_reply(*p, g);
-      p->nexts.resize(rcount(g));
-      for (auto& n : p->nexts) n = rcseq(g);
-      return p;
-    });
 
     // paxos
     add([](Rng& g) {
