@@ -13,22 +13,17 @@
 // every quorum must pass through the recovered server — the final reads
 // complete (and verify) only if replay genuinely restored its state.
 //
-// Emits BENCH_memory.json. Exits non-zero if GC frees <90% of superseded
-// bytes, post-recovery reads fail, or atomicity is violated anywhere.
-#include "checker/atomicity.hpp"
+// Gate: GC frees >= 90% of superseded bytes, post-recovery reads verify,
+// and every history is atomic.
+#include "scenario.hpp"
+
 #include "harness/ares_cluster.hpp"
-#include "harness/json.hpp"
-#include "harness/table.hpp"
 
 #include <chrono>
-#include <cstdio>
-#include <numeric>
-#include <string>
 #include <vector>
 
+namespace ares::bench {
 namespace {
-
-using namespace ares;
 
 constexpr std::size_t kNumObjects = 100'000;
 constexpr std::size_t kColdBytes = 128;   // bulk key-space value size
@@ -136,16 +131,7 @@ struct WalPoint {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string out_path =
-      argc > 1 ? argv[1] : std::string("BENCH_memory.json");
-
-  std::printf(
-      "Durable storage: lineage-GC reclamation over a %zu-object\n"
-      "deployment (%zu-step reconfig chain on %zu hot objects), and\n"
-      "WAL crash-recovery timing vs journal size.\n\n",
-      kNumObjects, kChainSteps, kHotObjects);
-
+Outcome memory() {
   // --- Part 1: GC reclamation ----------------------------------------------
   const GcRun off = run_gc_scenario(false);
   const GcRun on = run_gc_scenario(true);
@@ -160,21 +146,6 @@ int main(int argc, char** argv) {
   const auto freed =
       static_cast<double>(off.stored_after) - static_cast<double>(on.stored_after);
   const double freed_fraction = superseded > 0 ? freed / superseded : 0.0;
-
-  harness::Table gc_table({"mode", "stored before", "stored after",
-                           "reclaimed", "tombstones", "max cseq", "atomic"});
-  for (const auto* r : {&off, &on}) {
-    gc_table.add_row(r == &off ? "gc off" : "gc on",
-                     std::to_string(r->stored_before),
-                     std::to_string(r->stored_after),
-                     std::to_string(r->reclaimed),
-                     std::to_string(r->tombstones),
-                     std::to_string(r->max_cseq),
-                     r->atomic_ok ? "PASS" : "FAIL");
-  }
-  gc_table.print();
-  std::printf("\nsuperseded-config bytes: %.0f, freed by GC: %.0f (%.1f%%)\n\n",
-              superseded, freed, 100.0 * freed_fraction);
 
   // --- Part 2: WAL recovery -------------------------------------------------
   harness::AresClusterOptions wo;
@@ -219,15 +190,6 @@ int main(int argc, char** argv) {
     points.push_back(p);
   }
 
-  harness::Table wal_table(
-      {"objects", "wal bytes", "recover (ms)", "restored bytes"});
-  for (const auto& p : points) {
-    wal_table.add_row(std::to_string(p.objects), std::to_string(p.wal_bytes),
-                      harness::fmt(p.recover_ms, 2),
-                      std::to_string(p.restored_bytes));
-  }
-  wal_table.print();
-
   // Post-recovery linearizable reads: kill two healthy servers so every
   // majority includes the recovered one, then read a sample back.
   wal_cluster.crash_server(1);
@@ -243,11 +205,10 @@ int main(int argc, char** argv) {
   for (const auto& [obj, v] : wal_cluster.check_atomicity_per_object()) {
     wal_atomic = wal_atomic && v.ok;
   }
-  std::printf("\npost-recovery reads through the recovered server: %s\n",
-              recovery_reads_ok && wal_atomic ? "PASS" : "FAIL");
 
   // --- emit -----------------------------------------------------------------
-  harness::Json doc;
+  Outcome out;
+  harness::Json& doc = out.json;
   doc.set("bench", "memory")
       .set("num_objects", kNumObjects)
       .set("chain_steps", kChainSteps)
@@ -283,20 +244,12 @@ int main(int argc, char** argv) {
   }
   doc.set("wal_recovery", std::move(wal_arr));
   doc.set("post_recovery_reads_ok", recovery_reads_ok && wal_atomic);
-  harness::write_json_file(out_path, doc);
-
-  if (!off.atomic_ok || !on.atomic_ok || !wal_atomic) {
-    std::printf("FAIL: atomicity violated\n");
-    return 1;
-  }
-  if (freed_fraction < 0.90) {
-    std::printf("FAIL: GC freed %.1f%% of superseded bytes (< 90%%)\n",
-                100.0 * freed_fraction);
-    return 1;
-  }
-  if (!recovery_reads_ok) {
-    std::printf("FAIL: post-recovery reads incorrect\n");
-    return 1;
-  }
-  return 0;
+  out.check(off.atomic_ok && on.atomic_ok && wal_atomic,
+            "atomicity violated");
+  out.check(freed_fraction >= 0.90,
+            "GC freed under 90% of superseded bytes");
+  out.check(recovery_reads_ok, "post-recovery reads incorrect");
+  return out;
 }
+
+}  // namespace ares::bench

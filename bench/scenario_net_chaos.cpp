@@ -3,14 +3,14 @@
 // shapes — one server cut off (quorums mask it: availability holds) and a
 // quorum cut off (ops degrade to *typed* timeouts bounded by the per-op
 // deadline — zero indefinite hangs). Reports availability %, timeout rate
-// and p99 per phase, measures time-to-recovery after healing, and emits
-// BENCH_net_chaos.json. Exits non-zero when a history is non-atomic, when
-// ops/sec has not recovered to >= 90% of the healthy rate within 5 s of
-// healing, or when any operation outlives deadline + backoff slack.
+// and p99 per phase and measures time-to-recovery after healing. Gate:
+// every history atomic, ops/sec back to >= 90% of the healthy rate within
+// 5 s of healing, and no operation outliving deadline + backoff slack.
 //
 // Healthy-path throughput and latency live in perfbench/ (duration-based,
 // repeated, per-layer).
-#include "harness/json.hpp"
+#include "scenario.hpp"
+
 #include "net/chaos.hpp"
 #include "net/cluster.hpp"
 
@@ -18,15 +18,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+namespace ares::bench {
 namespace {
-
-using namespace ares;
 
 constexpr std::size_t kObjects = 4;
 constexpr double kWriteFraction = 0.3;
@@ -208,7 +206,9 @@ ScenarioResult run_chaos_scenario(const std::string& name,
   return res;
 }
 
-int run_chaos(const std::string& out_path) {
+}  // namespace
+
+Outcome net_chaos() {
   std::vector<ScenarioResult> scenarios;
   // One server partitioned away: quorums {1,2} mask it entirely.
   scenarios.push_back(
@@ -217,19 +217,11 @@ int run_chaos(const std::string& out_path) {
   // and the moment the partition heals the cluster recovers.
   scenarios.push_back(run_chaos_scenario("quorum_partition", {{0, 1}, {2}}));
 
-  bool ok = true;
+  Outcome out;
   harness::Json jscen = harness::Json::array();
   for (const ScenarioResult& s : scenarios) {
-    std::printf("%s: atomic=%d bounded=%d (max op %.2fs) recovered_after=%.1fs\n",
-                s.name.c_str(), s.atomic_ok, s.bounded_ok, s.max_op_s,
-                s.recovered_after_s);
-    std::printf("  %-10s %8s %8s %8s %12s %10s %10s\n", "phase", "ops", "avail",
-                "t/o rate", "ok ops/sec", "p99_ms", "dur_s");
     harness::Json jphases = harness::Json::array();
     for (const PhaseStats& p : s.phases) {
-      std::printf("  %-10s %8zu %7.1f%% %7.1f%% %12.1f %10.2f %10.2f\n",
-                  p.phase.c_str(), p.attempted, 100 * p.availability,
-                  100 * p.timeout_rate, p.ops_per_sec, p.p99_ms, p.dur_s);
       harness::Json jp = harness::Json::object();
       jp.set("phase", p.phase)
           .set("dur_s", p.dur_s)
@@ -253,21 +245,23 @@ int run_chaos(const std::string& out_path) {
         .set("phases", std::move(jphases));
     jscen.push(std::move(js));
 
-    ok = ok && s.atomic_ok && s.bounded_ok;
-    // Recovery gate: >= 90% of the healthy rate within 5 s of healing.
-    ok = ok && s.recovered_after_s >= 0 &&
-         s.recovered_after_s <= kRecoverWithinS;
+    out.check(s.atomic_ok, s.name + ": non-atomic history");
+    out.check(s.bounded_ok, s.name + ": an op outlived deadline + backoff");
+    out.check(s.recovered_after_s >= 0 &&
+                  s.recovered_after_s <= kRecoverWithinS,
+              s.name + ": not back to 90% of healthy ops/sec within 5 s");
     // Sanity floor on the healthy phase, not a perf target: localhost ABD
     // sustains far more than 50 ops/sec even on a loaded CI machine.
-    ok = ok && s.healthy_ops_per_sec > 50.0;
+    out.check(s.healthy_ops_per_sec > 50.0,
+              s.name + ": healthy phase under 50 ops/sec");
     if (s.name == "minority_partition") {
       // One dead server must be masked by the surviving quorum.
-      ok = ok && s.phases[1].availability >= 0.95;
+      out.check(s.phases[1].availability >= 0.95,
+                s.name + ": degraded availability under 95%");
     }
   }
 
-  harness::Json doc = harness::Json::object();
-  doc.set("bench", "net_chaos")
+  out.json.set("bench", "net_chaos")
       .set("servers", 3)
       .set("clients", 4)
       .set("objects", kObjects)
@@ -277,28 +271,7 @@ int run_chaos(const std::string& out_path) {
       .set("recover_within_s", kRecoverWithinS)
       .set("recover_fraction", kRecoverFraction)
       .set("scenarios", std::move(jscen));
-  harness::write_json_file(out_path, doc);
-
-  if (!ok) {
-    std::fprintf(stderr, "bench_net: chaos scenario gate failed\n");
-    return 1;
-  }
-  return 0;
+  return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string out_path = "BENCH_net_chaos.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg != "--scenario=chaos") {
-      std::fprintf(stderr, "usage: %s [--scenario=chaos] [--out=PATH]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  return run_chaos(out_path);
-}
+}  // namespace ares::bench

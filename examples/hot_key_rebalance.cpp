@@ -9,7 +9,6 @@
 // non-zero if the migration doesn't happen, if any cold object's lineage
 // moves, or if any object's history violates atomicity.
 #include "harness/ares_cluster.hpp"
-#include "harness/table.hpp"
 #include "placement/policy.hpp"
 #include "placement/rebalancer.hpp"
 #include "placement/stats.hpp"
@@ -88,9 +87,9 @@ int main() {
   }
   const auto& ev = rebalancer.events().front();
   std::printf(
-      "hot key %u: %s of the window traffic at t=%llu, migrated to\n"
+      "hot key %u: %.2f of the window traffic at t=%llu, migrated to\n"
       "config %u (TREAS[4,2] on idle servers 6-9) by t=%llu, mid-workload\n",
-      ev.object, harness::fmt(ev.share).c_str(),
+      ev.object, ev.share,
       static_cast<unsigned long long>(ev.decided_at), ev.installed,
       static_cast<unsigned long long>(ev.installed_at));
 

@@ -4,41 +4,6 @@
 
 namespace ares::api {
 
-namespace {
-
-/// Arm a one-shot deadline alarm on the client's simulator. When it fires
-/// (and the returned flag is still true), every pending quorum wait of the
-/// client process fails with sim::OpAborted — the suspended operation
-/// unwinds through its frame destructors (InflightGuards, cseq pins) and
-/// the adapter below maps the exception to a typed OpStatus. Works on both
-/// backends: the deterministic simulator runs the timer in virtual time,
-/// NodeRuntime pumps it at the corresponding wall-clock instant.
-std::shared_ptr<bool> arm_deadline(reconfig::AresClient& client,
-                                   SimDuration deadline_us) {
-  if (deadline_us == 0) return nullptr;
-  client.set_abortable_waits(true);
-  auto armed = std::make_shared<bool>(true);
-  auto* cl = &client;
-  client.simulator().schedule_after(
-      deadline_us, [armed, alive = client.liveness(), cl] {
-        if (!*armed || alive.expired()) return;
-        cl->abort_pending_waits(std::make_exception_ptr(
-            sim::OpAborted(sim::OpAborted::Reason::kDeadline)));
-      });
-  return armed;
-}
-
-void disarm(const std::shared_ptr<bool>& armed) {
-  if (armed) *armed = false;
-}
-
-OpStatus status_of(const sim::OpAborted& e) {
-  return e.reason == sim::OpAborted::Reason::kCancelled ? OpStatus::kCancelled
-                                                        : OpStatus::kTimeout;
-}
-
-}  // namespace
-
 const sim::TrafficStats* AresStore::traffic() const {
   return &client_.traffic();
 }
@@ -47,18 +12,18 @@ sim::Future<OpResult> AresStore::read(ObjectId obj) {
   const auto before = detail::sample(traffic());
   OpResult r;
   r.object = obj;
-  auto armed = arm_deadline(client_, op_deadline());
+  auto armed = detail::arm_deadline(client_, op_deadline());
   try {
     auto op = client_.read(obj);
     TagValue tv = co_await op;
     r.tag = tv.tag;
     r.value = tv.value;
   } catch (const sim::OpAborted& e) {
-    r.status = status_of(e);
+    r.status = detail::status_of(e);
   } catch (const sim::ConfigRetired&) {
     r.status = OpStatus::kRetired;
   }
-  disarm(armed);
+  detail::disarm(armed);
   r.metrics = detail::delta(before, traffic());
   co_return r;
 }
@@ -68,17 +33,17 @@ sim::Future<OpResult> AresStore::write(ObjectId obj, ValuePtr value) {
   OpResult r;
   r.object = obj;
   r.is_write = true;
-  auto armed = arm_deadline(client_, op_deadline());
+  auto armed = detail::arm_deadline(client_, op_deadline());
   try {
     auto op = client_.write(obj, std::move(value));
     const Tag tag = co_await op;
     r.tag = tag;
   } catch (const sim::OpAborted& e) {
-    r.status = status_of(e);
+    r.status = detail::status_of(e);
   } catch (const sim::ConfigRetired&) {
     r.status = OpStatus::kRetired;
   }
-  disarm(armed);
+  detail::disarm(armed);
   r.metrics = detail::delta(before, traffic());
   co_return r;
 }
@@ -87,17 +52,17 @@ sim::Future<OpResult> AresStore::reconfig(ObjectId obj, dap::ConfigSpec spec) {
   const auto before = detail::sample(traffic());
   OpResult r;
   r.object = obj;
-  auto armed = arm_deadline(client_, op_deadline());
+  auto armed = detail::arm_deadline(client_, op_deadline());
   try {
     auto op = client_.reconfig(obj, std::move(spec));
     const ConfigId installed = co_await op;
     r.installed = installed;
   } catch (const sim::OpAborted& e) {
-    r.status = status_of(e);
+    r.status = detail::status_of(e);
   } catch (const sim::ConfigRetired&) {
     r.status = OpStatus::kRetired;
   }
-  disarm(armed);
+  detail::disarm(armed);
   r.metrics = detail::delta(before, traffic());
   co_return r;
 }
@@ -127,7 +92,7 @@ sim::Future<std::vector<OpResult>> AresStore::run_many(
     out[i].object = keys[i];
     out[i].is_write = writes;
   }
-  auto armed = arm_deadline(client_, op_deadline());
+  auto armed = detail::arm_deadline(client_, op_deadline());
   try {
     auto op = writes ? client_.write_batch(std::move(keys), std::move(values))
                      : client_.read_batch(std::move(keys));
@@ -137,11 +102,11 @@ sim::Future<std::vector<OpResult>> AresStore::run_many(
       if (!writes) out[i].value = pairs[i].value;
     }
   } catch (const sim::OpAborted& e) {
-    for (auto& r : out) r.status = status_of(e);
+    for (auto& r : out) r.status = detail::status_of(e);
   } catch (const sim::ConfigRetired&) {
     for (auto& r : out) r.status = OpStatus::kRetired;
   }
-  disarm(armed);
+  detail::disarm(armed);
   detail::amortize(out, detail::delta(before, traffic()));
   co_return out;
 }

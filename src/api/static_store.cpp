@@ -9,37 +9,6 @@
 
 namespace ares::api {
 
-namespace {
-
-/// Same deadline alarm as AresStore's (see ares_store.cpp): StaticClient is
-/// a sim::Process too, so aborting its pending quorum waits unwinds the
-/// operation with sim::OpAborted.
-std::shared_ptr<bool> arm_deadline(harness::StaticClient& client,
-                                   SimDuration deadline_us) {
-  if (deadline_us == 0) return nullptr;
-  client.set_abortable_waits(true);
-  auto armed = std::make_shared<bool>(true);
-  auto* cl = &client;
-  client.simulator().schedule_after(
-      deadline_us, [armed, alive = client.liveness(), cl] {
-        if (!*armed || alive.expired()) return;
-        cl->abort_pending_waits(std::make_exception_ptr(
-            sim::OpAborted(sim::OpAborted::Reason::kDeadline)));
-      });
-  return armed;
-}
-
-void disarm(const std::shared_ptr<bool>& armed) {
-  if (armed) *armed = false;
-}
-
-OpStatus status_of(const sim::OpAborted& e) {
-  return e.reason == sim::OpAborted::Reason::kCancelled ? OpStatus::kCancelled
-                                                        : OpStatus::kTimeout;
-}
-
-}  // namespace
-
 const sim::TrafficStats* StaticStore::traffic() const {
   return &client_.traffic();
 }
@@ -48,16 +17,16 @@ sim::Future<OpResult> StaticStore::read(ObjectId obj) {
   const auto before = detail::sample(traffic());
   OpResult r;
   r.object = obj;
-  auto armed = arm_deadline(client_, op_deadline());
+  auto armed = detail::arm_deadline(client_, op_deadline());
   try {
     auto op = client_.read(obj);
     TagValue tv = co_await op;
     r.tag = tv.tag;
     r.value = tv.value;
   } catch (const sim::OpAborted& e) {
-    r.status = status_of(e);
+    r.status = detail::status_of(e);
   }
-  disarm(armed);
+  detail::disarm(armed);
   r.metrics = detail::delta(before, traffic());
   co_return r;
 }
@@ -67,22 +36,22 @@ sim::Future<OpResult> StaticStore::write(ObjectId obj, ValuePtr value) {
   OpResult r;
   r.object = obj;
   r.is_write = true;
-  auto armed = arm_deadline(client_, op_deadline());
+  auto armed = detail::arm_deadline(client_, op_deadline());
   try {
     auto op = client_.write(obj, std::move(value));
     const Tag tag = co_await op;
     r.tag = tag;
   } catch (const sim::OpAborted& e) {
-    r.status = status_of(e);
+    r.status = detail::status_of(e);
   }
-  disarm(armed);
+  detail::disarm(armed);
   r.metrics = detail::delta(before, traffic());
   co_return r;
 }
 
 sim::Future<std::vector<OpResult>> StaticStore::read_many(
     std::span<const ObjectId> objs) {
-  auto armed = arm_deadline(client_, op_deadline());
+  auto armed = detail::arm_deadline(client_, op_deadline());
   std::vector<OpResult> out;
   try {
     auto impl = read_many_impl(objs);
@@ -91,16 +60,16 @@ sim::Future<std::vector<OpResult>> StaticStore::read_many(
     out.assign(objs.size(), OpResult{});
     for (std::size_t i = 0; i < objs.size(); ++i) {
       out[i].object = objs[i];
-      out[i].status = status_of(e);
+      out[i].status = detail::status_of(e);
     }
   }
-  disarm(armed);
+  detail::disarm(armed);
   co_return out;
 }
 
 sim::Future<std::vector<OpResult>> StaticStore::write_many(
     std::span<const WriteOp> ops) {
-  auto armed = arm_deadline(client_, op_deadline());
+  auto armed = detail::arm_deadline(client_, op_deadline());
   std::vector<OpResult> out;
   try {
     auto impl = write_many_impl(ops);
@@ -110,10 +79,10 @@ sim::Future<std::vector<OpResult>> StaticStore::write_many(
     for (std::size_t i = 0; i < ops.size(); ++i) {
       out[i].object = ops[i].object;
       out[i].is_write = true;
-      out[i].status = status_of(e);
+      out[i].status = detail::status_of(e);
     }
   }
-  disarm(armed);
+  detail::disarm(armed);
   co_return out;
 }
 

@@ -58,4 +58,27 @@ void detail::amortize(std::vector<OpResult>& results, const OpMetrics& total) {
   results.front().metrics.elided_rounds += total.elided_rounds % n;
 }
 
+std::shared_ptr<bool> detail::arm_deadline(sim::Process& p,
+                                           SimDuration deadline_us) {
+  if (deadline_us == 0) return nullptr;
+  p.set_abortable_waits(true);
+  auto armed = std::make_shared<bool>(true);
+  p.simulator().schedule_after(
+      deadline_us, [armed, alive = p.liveness(), proc = &p] {
+        if (!*armed || alive.expired()) return;
+        proc->abort_pending_waits(std::make_exception_ptr(
+            sim::OpAborted(sim::OpAborted::Reason::kDeadline)));
+      });
+  return armed;
+}
+
+void detail::disarm(const std::shared_ptr<bool>& armed) {
+  if (armed) *armed = false;
+}
+
+OpStatus detail::status_of(const sim::OpAborted& e) {
+  return e.reason == sim::OpAborted::Reason::kCancelled ? OpStatus::kCancelled
+                                                        : OpStatus::kTimeout;
+}
+
 }  // namespace ares::api

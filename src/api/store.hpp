@@ -21,6 +21,7 @@
 #include "sim/coro.hpp"
 #include "sim/process.hpp"
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -172,6 +173,22 @@ struct TrafficSample {
 /// Spread a batch's total cost across `results` (amortized per-member
 /// share; the remainder lands on the first member so the sum is exact).
 void amortize(std::vector<OpResult>& results, const OpMetrics& total);
+
+/// Arm a one-shot deadline alarm on `p`'s simulator (null when
+/// `deadline_us` is 0). When it fires and the returned flag is still true,
+/// every pending quorum wait of `p` fails with sim::OpAborted — the
+/// suspended operation unwinds through its frame destructors
+/// (InflightGuards, cseq pins) and the adapter maps the exception to a
+/// typed OpStatus via status_of. Works on both backends: the deterministic
+/// simulator runs the timer in virtual time, NodeRuntime pumps it at the
+/// corresponding wall-clock instant.
+[[nodiscard]] std::shared_ptr<bool> arm_deadline(sim::Process& p,
+                                                 SimDuration deadline_us);
+
+/// Cancel an alarm armed by arm_deadline (no-op on null).
+void disarm(const std::shared_ptr<bool>& armed);
+
+[[nodiscard]] OpStatus status_of(const sim::OpAborted& e);
 
 }  // namespace detail
 

@@ -1,14 +1,10 @@
 // Tests for the experiment harness itself: cluster builders, workload
-// driver semantics, and the table printer — the instruments the benchmark
-// results depend on.
+// driver semantics — the instruments the benchmark results depend on.
 #include "harness/ares_cluster.hpp"
 #include "harness/static_cluster.hpp"
-#include "harness/table.hpp"
 #include "harness/workload.hpp"
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 namespace ares {
 namespace {
@@ -204,24 +200,6 @@ TEST(WorkloadOptions, ValidateChecksRanges) {
   EXPECT_THROW(opt.validate(), std::invalid_argument);
   opt.write_fraction = -0.1;
   EXPECT_THROW(opt.validate(), std::invalid_argument);
-}
-
-TEST(Table, PrintsAlignedMarkdown) {
-  harness::Table t({"a", "long-header"});
-  t.add_row(1, "x");
-  t.add_row("wide-cell", 2.5);
-  std::ostringstream os;
-  t.print(os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("| a         | long-header |"), std::string::npos);
-  EXPECT_NE(out.find("| wide-cell | 2.5         |"), std::string::npos);
-  EXPECT_NE(out.find("|-"), std::string::npos);
-}
-
-TEST(Table, FmtFormatsDigits) {
-  EXPECT_EQ(harness::fmt(1.23456, 2), "1.23");
-  EXPECT_EQ(harness::fmt(1.0, 0), "1");
-  EXPECT_EQ(harness::fmt(2.5, 3), "2.500");
 }
 
 }  // namespace
