@@ -80,7 +80,6 @@ int run_server(ProcessId id) {
   tcp.start();
   std::printf("PORT %u\n", tcp.port());
   std::fflush(stdout);
-  rt.start_driver();
   for (;;) std::this_thread::sleep_for(std::chrono::seconds(3600));
 }
 
@@ -113,10 +112,7 @@ struct Client {
     tcp.start();
   }
 
-  ~Client() {
-    tcp.stop();
-    rt.stop_driver();
-  }
+  ~Client() { tcp.stop(); }
 
   OpResult read(ObjectId obj) {
     return rt.sync([&] { return store->read(obj); });

@@ -19,6 +19,14 @@ void DirectAresClient::handle(const sim::Message& msg) {
   reconfig::AresClient::handle(msg);
 }
 
+void DirectAresClient::fail_transfer(std::uint64_t tid,
+                                     std::exception_ptr err) {
+  auto it = transfers_.find(tid);
+  if (it == transfers_.end() || it->second.fulfilled) return;
+  it->second.fulfilled = true;
+  it->second.done.set_error(std::move(err));
+}
+
 sim::Future<void> DirectAresClient::forward_code_element(ObjectId obj,
                                                          Tag tag,
                                                          ConfigId src,
@@ -39,11 +47,39 @@ sim::Future<void> DirectAresClient::forward_code_element(ObjectId obj,
   req->src_config = src;
   req->dst_config = dst;
   req->tag = tag;
+
+  // The acks come from C', so only a bounce can end the wait otherwise: a
+  // source server that already retired (C, obj) answers with a
+  // RetiredReply (the source was garbage-collected under the transfer), and
+  // an expired deadline aborts. Either fails the transfer, and reconfig's
+  // ConfigRetired catch re-syncs instead of waiting forever.
+  const std::uint64_t rpc = expect_replies(
+      src_spec.servers, *req, [this, tid](ProcessId, const sim::BodyPtr& b) {
+        if (auto r = std::dynamic_pointer_cast<const sim::RetiredReply>(b)) {
+          fail_transfer(tid, std::make_exception_ptr(
+                                 sim::ConfigRetired(r->config, r->object)));
+        }
+      });
+  const std::uint64_t hook =
+      abortable_waits()
+          ? add_abort_hook([this, tid](std::exception_ptr err) {
+              fail_transfer(tid, std::move(err));
+            })
+          : 0;
+  struct Cleanup {
+    DirectAresClient& c;
+    std::uint64_t tid, rpc, hook;
+    ~Cleanup() {
+      c.transfers_.erase(tid);
+      c.forget_replies(rpc);
+      if (hook != 0) c.remove_abort_hook(hook);
+    }
+  } cleanup{*this, tid, rpc, hook};
+
   // md-primitive of [21]: delivered to every non-faulty server of C or none.
   transport().atomic_broadcast(id(), src_spec.servers, std::move(req));
 
   co_await done;
-  transfers_.erase(tid);
   co_return;
 }
 

@@ -35,10 +35,14 @@ class DirectAresClient final : public reconfig::AresClient {
   };
 
   /// forward-code-element(τ, C, C') for `obj`: md-primitive to C's servers,
-  /// then wait for ⌈(n'+k')/2⌉ acks from C''s servers.
+  /// then wait for ⌈(n'+k')/2⌉ acks from C''s servers. Throws
+  /// ConfigRetired when a source server bounces the request.
   [[nodiscard]] sim::Future<void> forward_code_element(ObjectId obj, Tag tag,
                                                        ConfigId src,
                                                        ConfigId dst);
+
+  /// Fail a still-pending transfer with `err` (no-op once fulfilled).
+  void fail_transfer(std::uint64_t tid, std::exception_ptr err);
 
   std::uint64_t next_transfer_id_ = 1;
   std::map<std::uint64_t, PendingTransfer> transfers_;

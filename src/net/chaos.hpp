@@ -12,8 +12,8 @@
 //     over TCP are silent drops (the sim holds partitioned messages for
 //     later delivery; a real network cannot), so post-heal liveness comes
 //     from the retransmission layer, exactly as it would in production.
-//   * TcpTransport itself — consults the controller's socket-level script
-//     in its sender loop for mid-frame faults: kTear writes a truncated
+//   * TcpTransport itself — draws one socket-level verdict per frame just
+//     before its first byte is written: kTear writes a truncated
 //     frame and kills the connection (the receiver sees a short read /
 //     corrupt header and drops the connection — PR 7's framing already
 //     survives this), kReset kills the connection before the frame is
@@ -76,7 +76,7 @@ class ChaosController {
                 SimDuration extra_max_us);
   void clear_gray(ProcessId id);
 
-  /// Socket-level faults, consulted by TcpTransport's sender loops.
+  /// Socket-level faults, consulted by TcpTransport's write path.
   void set_reset_rate(double p, SimDuration window_us = 0);
   void set_torn_rate(double p, SimDuration window_us = 0);
 
@@ -97,7 +97,7 @@ class ChaosController {
 
   enum class SockFault { kNone, kTear, kReset };
 
-  /// Per-frame socket fault for TcpTransport's sender loop.
+  /// Per-frame socket fault for TcpTransport's write path.
   [[nodiscard]] SockFault sock_fault(SimTime now_us);
 
   // --- counters (assertable in tests) ---------------------------------------

@@ -18,7 +18,7 @@ TcpTransport::Options listen_options(const std::string& host) {
 
 }  // namespace
 
-/// One server process: its own event loop, listener, and timer thread.
+/// One server process: listener, connections and timers on its node loop.
 struct NetCluster::ServerNode {
   NodeRuntime rt;
   TcpTransport tcp;
@@ -114,7 +114,6 @@ NetCluster::NetCluster(NetClusterOptions options)
     node->tcp.start();
     book_->set(static_cast<ProcessId>(i),
                Endpoint{options_.host, node->tcp.port()});
-    node->rt.start_driver();
     servers_.push_back(std::move(node));
   }
   for (std::size_t j = 0; j < options_.num_clients; ++j) {
@@ -130,14 +129,8 @@ NetCluster::~NetCluster() {
   // Quiesce clients before servers so nothing dials a dying listener, and
   // stop every transport before any Process is destroyed (frames in flight
   // must never race a destructor).
-  for (auto& c : clients_) {
-    c->tcp.stop();
-    c->rt.stop_driver();
-  }
-  for (auto& s : servers_) {
-    s->tcp.stop();
-    s->rt.stop_driver();
-  }
+  for (auto& c : clients_) c->tcp.stop();
+  for (auto& s : servers_) s->tcp.stop();
 }
 
 std::size_t NetCluster::quorum_size() const {
@@ -200,7 +193,6 @@ void NetCluster::kill_server(std::size_t i) {
   auto& s = *servers_.at(i);
   if (!s.alive) return;
   s.tcp.stop();
-  s.rt.stop_driver();
   s.alive = false;
 }
 

@@ -1,11 +1,11 @@
 // NetCluster: a full ARES deployment over localhost TCP — the socket-backend
 // sibling of harness::AresCluster. Every server and every client gets its
-// own NodeRuntime (private simulator-as-event-loop, own threads, own wall
-// clock pump) and its own TcpTransport; the protocol objects are the exact
-// classes the deterministic simulator runs. The cluster surface is
-// blocking: read()/write() start the operation on the owning client's
-// runtime and block the calling thread until it completes, so OS threads
-// can drive concurrent clients (see run_net_workload).
+// own NodeRuntime (private simulator, one epoll loop thread that owns the
+// node's sockets and timers) and its own TcpTransport; the protocol objects
+// are the exact classes the deterministic simulator runs. The cluster
+// surface is blocking: read()/write() start the operation on the owning
+// client's runtime and block the calling thread until it completes, so OS
+// threads can drive concurrent clients (see run_net_workload).
 //
 // v1 scope (documented, enforced by the harness not the protocol): the
 // configuration registry is built up front and shared immutably across all
@@ -119,8 +119,9 @@ class NetCluster {
   /// per phase for members sharing a configuration).
   std::vector<OpResult> read_batch(std::size_t c, std::vector<ObjectId> objs);
 
-  /// SIGKILL-equivalent: tear down server `i`'s transport and timer thread
-  /// mid-run. Peers see dead connections; in-flight frames to it vanish.
+  /// SIGKILL-equivalent: stop server `i`'s loop thread and close its
+  /// sockets mid-run. Peers see dead connections; in-flight frames to it
+  /// vanish.
   void kill_server(std::size_t i);
   [[nodiscard]] bool server_alive(std::size_t i) const;
 

@@ -16,9 +16,9 @@
 //     remain — with one full-op probe per probe_interval, which both
 //     detects healing and re-arms suspicion.
 //
-// Thread-safe: sender threads, reader threads and client callers all poke
-// it concurrently. Like everything wall-clock on this backend, timestamps
-// are NodeRuntime::unix_now_us().
+// Thread-safe: node loop threads and client callers poke it concurrently.
+// Like everything wall-clock on this backend, timestamps are
+// NodeRuntime::unix_now_us().
 #pragma once
 
 #include "common/types.hpp"

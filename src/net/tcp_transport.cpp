@@ -6,9 +6,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -17,51 +21,25 @@ namespace ares::net {
 
 namespace {
 
-/// Write the whole buffer; MSG_NOSIGNAL so a peer that died mid-write
-/// yields EPIPE instead of killing the process.
-bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
+/// Frames gathered into one sendmsg.
+constexpr std::size_t kMaxIov = 64;
 
-bool read_exact(int fd, std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::recv(fd, data, len, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
+/// Free space kept ahead of each recv.
+constexpr std::size_t kReadChunk = 64 * 1024;
+
+constexpr int kStreamFlags = SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC;
 
 void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-int dial(const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
+bool to_sockaddr(const std::string& host, std::uint16_t port,
+                 sockaddr_in& addr) {
+  addr = sockaddr_in{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
+  return ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1;
 }
 
 }  // namespace
@@ -109,123 +87,74 @@ TcpTransport::TcpTransport(NodeRuntime& rt, std::shared_ptr<AddressBook> book,
 TcpTransport::~TcpTransport() { stop(); }
 
 void TcpTransport::start() {
-  running_.store(true);
-  if (!opt_.listen) return;
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw std::runtime_error("TcpTransport: socket() failed");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opt_.listen_port);
-  if (::inet_pton(AF_INET, opt_.listen_host.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("TcpTransport: bad listen host");
+  if (opt_.listen) {
+    listen_fd_ = ::socket(AF_INET, kStreamFlags, 0);
+    if (listen_fd_ < 0) {
+      throw std::runtime_error("TcpTransport: socket() failed");
+    }
+    int one = 1;
+    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    if (!to_sockaddr(opt_.listen_host, opt_.listen_port, addr)) {
+      throw std::runtime_error("TcpTransport: bad listen host");
+    }
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listen_fd_, 64) != 0) {
+      throw std::runtime_error(std::string("TcpTransport: bind/listen: ") +
+                               std::strerror(errno));
+    }
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
   }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, 64) != 0) {
-    throw std::runtime_error(std::string("TcpTransport: bind/listen: ") +
-                             std::strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  accept_thread_ = std::thread(&TcpTransport::accept_loop, this);
+  rt_.locked([this] {
+    running_ = true;
+    if (listen_fd_ >= 0) {
+      listen_watch_ =
+          rt_.watch(listen_fd_, [this](std::uint32_t) { accept_ready(); });
+    }
+  });
+  rt_.start();
 }
 
 void TcpTransport::stop() {
-  if (!running_.exchange(false)) return;
-
-  // Wake the accept loop (on Linux shutdown() makes a blocked accept()
-  // return), then the readers.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-
-  std::vector<std::shared_ptr<Sock>> conns;
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lk(io_mu_);
-    conns = conns_;
-    readers = std::move(readers_);
-    readers_.clear();
-    routes_.clear();
-  }
-  for (auto& s : conns) {
-    s->dead.store(true);
-    ::shutdown(s->fd, SHUT_RDWR);
-  }
-  for (auto& t : readers) {
-    if (t.joinable()) t.join();
-  }
-
-  std::unordered_map<ProcessId, std::unique_ptr<Outbox>> boxes;
-  {
-    std::lock_guard<std::mutex> lk(out_mu_);
-    boxes = std::move(outboxes_);
-    outboxes_.clear();
-  }
-  for (auto& [id, box] : boxes) {
-    {
-      std::lock_guard<std::mutex> lk(box->mu);
-      box->stop = true;
-    }
-    box->cv.notify_all();
-    if (box->th.joinable()) box->th.join();
-  }
-
-  {
-    std::lock_guard<std::mutex> lk(io_mu_);
-    for (auto& s : conns_) ::close(s->fd);
-    conns_.clear();
-  }
+  bool was_running = false;
+  rt_.locked([&] { std::swap(was_running, running_); });
+  if (!was_running) return;
+  rt_.stop();
+  rt_.locked([this] {
+    close_watched(listen_fd_, listen_watch_);
+    const std::vector<ConnPtr> conns(conns_.begin(), conns_.end());
+    for (const ConnPtr& c : conns) kill(c, /*replay=*/false);
+  });
 }
 
 void TcpTransport::register_process(sim::Process& p) {
-  std::lock_guard<std::mutex> lk(procs_mu_);
-  procs_[p.id()] = &p;
+  rt_.locked([&] { procs_[p.id()] = &p; });
 }
 
 void TcpTransport::unregister_process(ProcessId id) {
-  std::lock_guard<std::mutex> lk(procs_mu_);
-  procs_.erase(id);
+  rt_.locked([&] { procs_.erase(id); });
 }
 
 void TcpTransport::send(ProcessId from, ProcessId to, sim::BodyPtr body) {
-  // Same-node shortcut: a co-hosted destination is reached through the
-  // node's own event queue (send() always runs under the node lock with
-  // Simulator::current() set, so post() is safe here).
-  {
-    std::lock_guard<std::mutex> lk(procs_mu_);
-    if (procs_.contains(to)) {
-      rt_.simulator().post(
-          [this, from, to, body] { local_deliver(from, to, body); });
-      return;
-    }
+  if (!rt_.in_node()) {
+    rt_.locked([&] { send(from, to, std::move(body)); });
+    return;
   }
-  if (!running_.load()) return;  // crashed/stopped node: frames vanish
-  enqueue(to, wire::encode_frame(from, to, *body));
-}
-
-void TcpTransport::atomic_broadcast(ProcessId from,
-                                    std::vector<ProcessId> dests,
-                                    sim::BodyPtr body) {
-  // Approximation: per-destination sends (see sim::Transport — real
-  // crash-stop networks have no all-or-none primitive).
-  for (ProcessId d : dests) send(from, d, body);
-}
-
-void TcpTransport::enqueue(ProcessId to, std::vector<std::uint8_t> frame) {
+  // Same-node shortcut: a co-hosted destination is reached through the
+  // node's own event queue.
+  if (procs_.contains(to)) {
+    rt_.simulator().post(
+        [this, from, to, body] { local_deliver(from, to, body); });
+    return;
+  }
+  if (!running_) return;  // crashed/stopped node: frames vanish
   // Fast-fail frames to suspected peers (modulo the detector's probe
   // allowance) — dropped here is indistinguishable from dropped by the
   // network, which the protocols already tolerate, and it keeps a dead
-  // peer's queue from soaking up memory and sender-thread time.
+  // peer's queue from soaking up memory.
   if (detector_) {
     const SimTime now = NodeRuntime::unix_now_us();
     if (!detector_->allow_send(to, now)) {
@@ -238,249 +167,310 @@ void TcpTransport::enqueue(ProcessId to, std::vector<std::uint8_t> frame) {
     // back would otherwise be invisible to the timeout rule.
     detector_->note_send(to, now);
   }
-  Outbox* box = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(out_mu_);
-    if (!running_.load()) return;
-    auto& slot = outboxes_[to];
-    if (!slot) {
-      slot = std::make_unique<Outbox>();
-      slot->th = std::thread(&TcpTransport::sender_loop, this, to, slot.get());
-    }
-    box = slot.get();
-  }
-  {
-    std::lock_guard<std::mutex> lk(box->mu);
-    if (box->stop) return;
-    box->q.push_back(std::move(frame));
-    // Bounded queue: drop the OLDEST while over budget (see Options).
-    while (opt_.max_queue_frames > 0 && box->q.size() > opt_.max_queue_frames) {
-      box->q.pop_front();
-      frames_dropped_overflow_.fetch_add(1, std::memory_order_relaxed);
-      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  box->cv.notify_one();
+  route(Frame{wire::encode_frame(from, to, *body), to, 0, std::nullopt});
+}
+
+void TcpTransport::atomic_broadcast(ProcessId from,
+                                    std::vector<ProcessId> dests,
+                                    sim::BodyPtr body) {
+  // Approximation: per-destination sends (see sim::Transport — real
+  // crash-stop networks have no all-or-none primitive).
+  for (ProcessId d : dests) send(from, d, body);
 }
 
 std::size_t TcpTransport::queue_depth(ProcessId dest) const {
-  std::lock_guard<std::mutex> lk(out_mu_);
-  auto it = outboxes_.find(dest);
-  if (it == outboxes_.end()) return 0;
-  std::lock_guard<std::mutex> qlk(it->second->mu);
-  return it->second->q.size();
+  std::size_t depth = 0;
+  rt_.locked([&] {
+    if (auto it = routes_.find(dest); it != routes_.end()) {
+      depth = it->second->out.size();
+    }
+  });
+  return depth;
 }
 
-void TcpTransport::sender_loop(ProcessId dest, Outbox* box) {
-  for (;;) {
-    std::vector<std::uint8_t> frame;
-    {
-      std::unique_lock<std::mutex> lk(box->mu);
-      box->cv.wait(lk, [&] { return box->stop || !box->q.empty(); });
-      if (box->stop) return;
-      frame = std::move(box->q.front());
-      box->q.pop_front();
-    }
-    // Reconnect-and-replay: a frame whose write fails (or whose connection
-    // is chaos-reset before the write) is re-offered to a freshly dialed
-    // connection a bounded number of times before being dropped.
-    bool sent = false;
-    for (int attempt = 0; attempt <= opt_.write_replay_attempts; ++attempt) {
-      auto sock = route_or_dial(dest);
-      if (!sock) break;
-      if (attempt > 0) {
-        frames_replayed_.fetch_add(1, std::memory_order_relaxed);
-      }
-      ChaosController::SockFault fault = ChaosController::SockFault::kNone;
-      if (chaos_) fault = chaos_->sock_fault(NodeRuntime::unix_now_us());
-      if (fault == ChaosController::SockFault::kTear) {
-        // Torn frame: write a truncated prefix, then kill the connection.
-        // The peer sees a short read mid-frame and drops the connection;
-        // the frame is consumed (its bytes went out) — liveness comes from
-        // the retransmission layer, not replay.
-        {
-          std::lock_guard<std::mutex> wl(sock->write_mu);
-          (void)write_all(sock->fd, frame.data(), frame.size() / 2);
-        }
-        sock->dead.store(true);
-        ::shutdown(sock->fd, SHUT_RDWR);
-        frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-        sent = true;  // consumed, don't double-count as a queue drop
-        break;
-      }
-      if (fault == ChaosController::SockFault::kReset) {
-        // Connection reset before the frame hit the wire: the frame is
-        // still intact, so it is eligible for replay on a new connection.
-        sock->dead.store(true);
-        ::shutdown(sock->fd, SHUT_RDWR);
-        continue;
-      }
-      bool ok;
-      {
-        std::lock_guard<std::mutex> wl(sock->write_mu);
-        ok = write_all(sock->fd, frame.data(), frame.size());
-      }
-      if (ok) {
-        frames_sent_.fetch_add(1, std::memory_order_relaxed);
-        sent = true;
-        break;
-      }
-      sock->dead.store(true);
-      ::shutdown(sock->fd, SHUT_RDWR);
-    }
-    if (!sent) frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+void TcpTransport::route(Frame f) {
+  auto it = routes_.find(f.to);
+  const ConnPtr c = it != routes_.end() ? it->second : dial(f.to);
+  if (!c) {
+    frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
+  c->out.push_back(std::move(f));
+  // Bounded queue: drop the OLDEST unwritten frame while over budget (see
+  // Options); a partly written front must finish or the stream corrupts.
+  while (opt_.max_queue_frames > 0 && c->out.size() > opt_.max_queue_frames) {
+    c->out.erase(c->out.begin() + (c->out_off > 0 ? 1 : 0));
+    frames_dropped_overflow_.fetch_add(1, std::memory_order_relaxed);
+    frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Anything queued before this frame is already waiting for EPOLLOUT.
+  if (!c->connecting && c->out.size() == 1) flush(c);
 }
 
-std::shared_ptr<TcpTransport::Sock> TcpTransport::route_or_dial(
-    ProcessId dest) {
-  bool had_route = false;
-  {
-    std::lock_guard<std::mutex> lk(io_mu_);
-    auto it = routes_.find(dest);
-    if (it != routes_.end()) {
-      if (!it->second->dead.load()) return it->second;
-      routes_.erase(it);
-    }
-    // "Previously connected" must survive the reader thread erasing a dead
-    // route, or the generous first-dial budget re-applies to a crashed
-    // peer and suspicion latches seconds late (see known_peers_).
-    had_route = known_peers_.contains(dest);
-    auto dit = down_until_.find(dest);
-    if (dit != down_until_.end() &&
-        std::chrono::steady_clock::now() < dit->second) {
-      return nullptr;
-    }
+TcpTransport::ConnPtr TcpTransport::dial(ProcessId dest) {
+  const SimTime now = NodeRuntime::unix_now_us();
+  if (auto it = down_until_.find(dest);
+      it != down_until_.end() && now < it->second) {
+    return nullptr;
   }
-  std::optional<Endpoint> ep = book_ ? book_->find(dest) : std::nullopt;
-  if (!ep) return nullptr;  // only published processes can be dialed
+  if (!book_ || !book_->find(dest)) return nullptr;  // only published ones
 
+  auto c = std::make_shared<Conn>();
+  c->dialed = dest;
+  c->connecting = true;
+  c->budget = known_peers_.contains(dest) ? opt_.redial_attempts
+                                          : opt_.dial_attempts;
   // A suspected peer gets a single cheap attempt: spending the full dial
-  // budget on a peer the detector already condemned would stall this
-  // sender thread (and, across clients, synchronize a reconnect storm).
-  int attempts = had_route ? opt_.redial_attempts : opt_.dial_attempts;
-  if (detector_ && detector_->suspected(dest, NodeRuntime::unix_now_us())) {
-    attempts = 1;
+  // budget on a peer the detector already condemned would synchronize a
+  // reconnect storm across clients.
+  if (detector_ && detector_->suspected(dest, now)) c->budget = 1;
+  routes_[dest] = c;
+  conns_.insert(c);
+  connect_attempt(c);
+  return c->dead ? nullptr : c;
+}
+
+void TcpTransport::connect_attempt(const ConnPtr& c) {
+  // Looked up per attempt: a restarted server may republish a new port.
+  const std::optional<Endpoint> ep = book_->find(c->dialed);
+  sockaddr_in addr{};
+  const int fd = ::socket(AF_INET, kStreamFlags, 0);
+  if (fd >= 0 && ep && to_sockaddr(ep->host, ep->port, addr) &&
+      (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 ||
+       errno == EINPROGRESS)) {
+    // Completion (or refusal) arrives as EPOLLOUT — even for an immediate
+    // loopback connect, so a dial never flushes re-entrantly.
+    c->fd = fd;
+    watch(c);
+    return;
   }
-  const std::uint64_t salt =
-      (static_cast<std::uint64_t>(dest) << 32) ^
-      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
-  for (int i = 0; i < attempts && running_.load(); ++i) {
-    if (i > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          jittered_dial_delay_ms(opt_.dial_retry_ms, opt_.dial_retry_jitter_pct,
-                                 salt, i)));
+  if (fd >= 0) ::close(fd);
+  dial_failed(c);
+}
+
+void TcpTransport::dial_failed(const ConnPtr& c) {
+  close_watched(c->fd, c->watch);
+  if (++c->attempt < c->budget && running_) {
+    const std::uint64_t salt =
+        (static_cast<std::uint64_t>(c->dialed) << 32) ^
+        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
+    const int ms = jittered_dial_delay_ms(
+        opt_.dial_retry_ms, opt_.dial_retry_jitter_pct, salt, c->attempt);
+    rt_.simulator().schedule_after(
+        static_cast<SimDuration>(ms) * 1'000,
+        [this, w = std::weak_ptr<Conn>(c)] {
+          // A stopped transport dropped every Conn, so `this` is only
+          // touched while the connection (and thus the transport) lives.
+          if (auto live = w.lock(); live && !live->dead) connect_attempt(live);
+        });
+    return;
+  }
+  const SimTime now = NodeRuntime::unix_now_us();
+  if (detector_) detector_->note_dial_failure(c->dialed, now);
+  down_until_[c->dialed] =
+      now + static_cast<SimTime>(opt_.down_ms) * 1'000;
+  kill(c, /*replay=*/false);
+}
+
+void TcpTransport::close_watched(int& fd, std::uint64_t watch) {
+  if (fd < 0) return;
+  rt_.unwatch(watch, fd);
+  ::close(fd);
+  fd = -1;
+}
+
+void TcpTransport::watch(const ConnPtr& c) {
+  c->watch = rt_.watch(
+      c->fd, [this, c](std::uint32_t events) { on_ready(c, events); });
+}
+
+void TcpTransport::accept_ready() {
+  for (;;) {
+    const int fd =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      return;  // EAGAIN: backlog drained
     }
-    const int fd = dial(ep->host, ep->port);
-    if (fd < 0) continue;
-    auto sock = adopt_fd(fd);
-    if (!sock) {
-      ::close(fd);
-      return nullptr;
+    set_nodelay(fd);
+    auto c = std::make_shared<Conn>();
+    c->fd = fd;
+    conns_.insert(c);
+    watch(c);
+  }
+}
+
+void TcpTransport::on_ready(const ConnPtr& c, std::uint32_t events) {
+  if (c->dead) return;
+  if (c->connecting) {
+    if ((events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) == 0) return;
+    int err = 0;
+    socklen_t len = sizeof(err);
+    if (::getsockopt(c->fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
+        err != 0) {
+      dial_failed(c);
+      return;
     }
+    c->connecting = false;
+    set_nodelay(c->fd);
     // A completed TCP handshake is affirmative evidence the peer is back
     // (its listener answered), so heal any standing suspicion now rather
     // than waiting for the first reply frame.
-    if (detector_) detector_->note_receive(dest, NodeRuntime::unix_now_us());
-    std::lock_guard<std::mutex> lk(io_mu_);
-    routes_[dest] = sock;
-    known_peers_.insert(dest);
-    return sock;
-  }
-  if (detector_) {
-    detector_->note_dial_failure(dest, NodeRuntime::unix_now_us());
-  }
-  std::lock_guard<std::mutex> lk(io_mu_);
-  down_until_[dest] = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(opt_.down_ms);
-  return nullptr;
-}
-
-std::shared_ptr<TcpTransport::Sock> TcpTransport::adopt_fd(int fd) {
-  set_nodelay(fd);
-  auto sock = std::make_shared<Sock>();
-  sock->fd = fd;
-  std::lock_guard<std::mutex> lk(io_mu_);
-  if (!running_.load()) return nullptr;
-  conns_.push_back(sock);
-  readers_.emplace_back(&TcpTransport::reader_loop, this, sock);
-  return sock;
-}
-
-void TcpTransport::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (running_.load() && (errno == EINTR || errno == ECONNABORTED)) {
-        continue;
-      }
-      return;
-    }
-    if (adopt_fd(fd) == nullptr) {
-      ::close(fd);
-      return;
-    }
-  }
-}
-
-void TcpTransport::reader_loop(std::shared_ptr<Sock> sock) {
-  std::vector<std::uint8_t> buf;
-  for (;;) {
-    std::uint8_t hdr[4];
-    if (!read_exact(sock->fd, hdr, sizeof(hdr))) break;
-    const std::uint32_t len = static_cast<std::uint32_t>(hdr[0]) |
-                              static_cast<std::uint32_t>(hdr[1]) << 8 |
-                              static_cast<std::uint32_t>(hdr[2]) << 16 |
-                              static_cast<std::uint32_t>(hdr[3]) << 24;
-    if (len < wire::kFrameHeaderBytes - 4 || len > wire::kMaxFrameBytes) break;
-    buf.resize(len);
-    if (!read_exact(sock->fd, buf.data(), len)) break;
-
-    wire::DecodedFrame frame;
-    try {
-      frame = wire::decode_frame(buf.data(), len);
-    } catch (const wire::WireError&) {
-      break;  // corrupt peer: drop the connection
-    }
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
     if (detector_) {
-      detector_->note_receive(frame.from, NodeRuntime::unix_now_us());
+      detector_->note_receive(c->dialed, NodeRuntime::unix_now_us());
     }
+    known_peers_.insert(c->dialed);
+  }
+  if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) read_ready(c);
+  if (!c->dead && (events & EPOLLOUT) != 0) flush(c);
+}
 
-    // Learn/refresh the route: this connection reaches frame.from.
-    {
-      std::lock_guard<std::mutex> lk(io_mu_);
-      auto it = routes_.find(frame.from);
-      if (it == routes_.end() || it->second->dead.load()) {
-        routes_[frame.from] = sock;
+void TcpTransport::flush(const ConnPtr& c) {
+  while (!c->out.empty()) {
+    std::array<iovec, kMaxIov> iov{};
+    std::size_t n = 0;
+    for (Frame& f : c->out) {
+      if (n == iov.size()) break;
+      const std::size_t off = n == 0 ? c->out_off : 0;
+      if (off == 0 && !f.fault) {
+        f.fault = chaos_ ? chaos_->sock_fault(NodeRuntime::unix_now_us())
+                         : ChaosController::SockFault::kNone;
       }
-      known_peers_.insert(frame.from);
+      if (off == 0 && f.fault != ChaosController::SockFault::kNone) break;
+      iov[n++] = iovec{f.bytes.data() + off, f.bytes.size() - off};
     }
-    rt_.run([this, &frame] { local_deliver(frame.from, frame.to, frame.body); });
+    if (n == 0) {
+      // The front frame drew a socket fault.
+      Frame& f = c->out.front();
+      if (f.fault == ChaosController::SockFault::kTear) {
+        // Torn frame: a truncated prefix hits the wire, then the
+        // connection dies. The peer sees a short read mid-frame and drops
+        // the connection; the frame is consumed (its bytes went out) —
+        // liveness comes from the retransmission layer, not replay.
+        (void)::send(c->fd, f.bytes.data(), f.bytes.size() / 2,
+                     MSG_NOSIGNAL);
+        c->out.pop_front();
+        frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+      }
+      // kReset: the connection dies before the frame hits the wire; the
+      // frame is intact, so kill() replays it on a new connection.
+      kill(c, /*replay=*/true);
+      return;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov.data();
+    msg.msg_iovlen = n;
+    // MSG_NOSIGNAL: a peer that died mid-write yields EPIPE, not SIGPIPE.
+    const ssize_t w = ::sendmsg(c->fd, &msg, MSG_NOSIGNAL);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // EPOLLOUT resumes
+      kill(c, /*replay=*/true);
+      return;
+    }
+    auto left = static_cast<std::size_t>(w);
+    while (left > 0) {
+      const std::size_t rest = c->out.front().bytes.size() - c->out_off;
+      if (left < rest) {
+        c->out_off += left;
+        break;
+      }
+      left -= rest;
+      c->out_off = 0;
+      c->out.pop_front();
+      frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
-  sock->dead.store(true);
-  ::shutdown(sock->fd, SHUT_RDWR);
-  std::lock_guard<std::mutex> lk(io_mu_);
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    it = it->second == sock ? routes_.erase(it) : std::next(it);
+}
+
+void TcpTransport::read_ready(const ConnPtr& c) {
+  for (;;) {
+    if (c->in.size() - c->in_len < kReadChunk) {
+      c->in.resize(std::max(c->in.size() * 2, c->in_len + kReadChunk));
+    }
+    const std::size_t room = c->in.size() - c->in_len;
+    const ssize_t n = ::recv(c->fd, c->in.data() + c->in_len, room, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n <= 0) {
+      kill(c, /*replay=*/true);  // EOF or error
+      return;
+    }
+    c->in_len += static_cast<std::size_t>(n);
+    std::size_t p = 0;
+    while (c->in_len - p >= 4) {
+      const std::uint8_t* h = c->in.data() + p;
+      const std::uint32_t len = static_cast<std::uint32_t>(h[0]) |
+                                static_cast<std::uint32_t>(h[1]) << 8 |
+                                static_cast<std::uint32_t>(h[2]) << 16 |
+                                static_cast<std::uint32_t>(h[3]) << 24;
+      if (len < wire::kFrameHeaderBytes - 4 || len > wire::kMaxFrameBytes) {
+        kill(c, /*replay=*/true);  // corrupt peer: drop the connection
+        return;
+      }
+      if (c->in_len - p - 4 < len) break;
+      wire::DecodedFrame frame;
+      try {
+        frame = wire::decode_frame(h + 4, len);
+      } catch (const wire::WireError&) {
+        kill(c, /*replay=*/true);
+        return;
+      }
+      p += 4 + len;
+      frames_received_.fetch_add(1, std::memory_order_relaxed);
+      if (detector_) {
+        detector_->note_receive(frame.from, NodeRuntime::unix_now_us());
+      }
+      // Learn the route: this connection reaches frame.from.
+      routes_.try_emplace(frame.from, c);
+      known_peers_.insert(frame.from);
+      local_deliver(frame.from, frame.to, frame.body);
+      if (c->dead) return;
+    }
+    std::memmove(c->in.data(), c->in.data() + p, c->in_len - p);
+    c->in_len -= p;
+    // A short read emptied the socket; later bytes raise a new edge.
+    if (static_cast<std::size_t>(n) < room) return;
   }
+}
+
+void TcpTransport::kill(ConnPtr c, bool replay) {
+  if (c->dead) return;
+  c->dead = true;
+  close_watched(c->fd, c->watch);
+  conns_.erase(c);
+  std::erase_if(routes_, [&](const auto& r) { return r.second == c; });
+  std::deque<Frame> out = std::move(c->out);
+  // Reconnect-and-replay: the frame whose write failed (or whose connection
+  // was reset before it) gets a bounded number of fresh connections.
+  using Fault = ChaosController::SockFault;
+  if (!out.empty() && (c->out_off > 0 || out.front().fault == Fault::kReset)) {
+    Frame& f = out.front();
+    f.fault.reset();
+    if (replay && ++f.replays <= opt_.write_replay_attempts) {
+      frames_replayed_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      out.pop_front();
+      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (!replay || !running_) {
+    frames_dropped_.fetch_add(out.size(), std::memory_order_relaxed);
+    return;
+  }
+  for (Frame& f : out) route(std::move(f));
 }
 
 void TcpTransport::local_deliver(ProcessId from, ProcessId to,
                                  const sim::BodyPtr& body) {
-  sim::Process* p = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(procs_mu_);
-    auto it = procs_.find(to);
-    if (it != procs_.end()) p = it->second;
-  }
-  if (p == nullptr || p->crashed()) return;  // late frame for a gone process
+  auto it = procs_.find(to);
+  if (it == procs_.end() || it->second->crashed()) return;  // gone process
   sim::Message msg;
   msg.from = from;
   msg.to = to;
   msg.sent_at = rt_.simulator().now();
   msg.body = body;
-  p->deliver(msg);
+  it->second->deliver(msg);
 }
 
 }  // namespace ares::net

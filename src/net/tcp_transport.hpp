@@ -8,24 +8,29 @@
 //     are silently dropped after a bounded dial effort — to the sender,
 //     slow and dead stay indistinguishable, exactly the model the
 //     protocols assume.
-//   * Per-destination sender threads: each destination gets its own queue
-//     and thread, so a SIGKILLed server stalls only its own queue while
-//     the rest of a quorum fan-out proceeds at full speed.
+//   * One thread per node: every socket is non-blocking and owned by the
+//     node's NodeRuntime loop, which accepts, dials (jittered retries are
+//     simulator timers), reads, and delivers every complete frame of a
+//     read in one locked turn. Whichever thread holds the node lock when a
+//     frame is sent writes it straight to the socket; what the kernel will
+//     not take waits in the connection's bounded queue, flushed with one
+//     sendmsg per EPOLLOUT, so a dead server stalls only its own queue.
 //   * Learned routes: listeners never dial. A server answers a client over
 //     the connection the client dialed in on — the frame header's `from`
 //     binds the connection to a peer id on first receipt. Only processes
 //     published in the AddressBook (servers) are ever dialed.
-//   * Delivery: a reader thread decodes a frame and hands it to the node's
-//     NodeRuntime::run(), so protocol handlers and coroutine resumptions
-//     stay single-threaded per node.
+//
+// All transport state is guarded by the node lock; public entry points
+// called from outside the node take it themselves.
 //
 // atomic_broadcast degrades to per-destination sends: real crash-stop
 // networks have no all-or-none md-primitive, so protocols that *depend* on
 // that guarantee (the Section-5 direct state transfer) are verified on the
 // sim backend (see sim::Transport).
 //
-// Lifetime: stop() (idempotent, called by the destructor) joins every
-// thread. Registered processes must stay alive until stop() returns.
+// Lifetime: stop() (idempotent, called by the destructor) stops the node's
+// loop and closes every socket. Registered processes must stay alive until
+// stop() returns.
 #pragma once
 
 #include "common/types.hpp"
@@ -35,8 +40,6 @@
 #include "sim/transport.hpp"
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -44,14 +47,13 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 namespace ares::net {
 
-/// The sleep before dial retry `attempt` (1-based): `base_ms` scaled by a
+/// The delay before dial retry `attempt` (1-based): `base_ms` scaled by a
 /// deterministic factor in [1 - pct/100, 1 + pct/100] drawn from a
 /// SplitMix64 hash of (salt, attempt), floored at 1 ms. Deterministic so
 /// tests can assert the spread; different salts (per transport, per
@@ -92,10 +94,9 @@ class TcpTransport final : public sim::Transport {
     int redial_attempts = 2;
     int dial_retry_ms = 50;
 
-    /// ± percent jitter on every dial retry sleep (see
-    /// jittered_dial_delay_ms): a fixed sleep synchronizes every sender
-    /// thread of every client into a reconnect stampede after a server
-    /// restart.
+    /// ± percent jitter on every dial retry delay (see
+    /// jittered_dial_delay_ms): a fixed delay synchronizes every client's
+    /// redials into a reconnect stampede after a server restart.
     int dial_retry_jitter_pct = 50;
 
     /// After a failed dial, drop frames to that destination without
@@ -103,11 +104,12 @@ class TcpTransport final : public sim::Transport {
     /// subsequent frame a connect timeout).
     int down_ms = 2000;
 
-    /// Per-destination sender queue bound. When a peer is dead or
-    /// partitioned its queue would otherwise grow without limit (every
-    /// retransmission, probe and op adds frames nobody drains); beyond
-    /// this depth the OLDEST frame is dropped — stale rounds lose to the
-    /// live operation's traffic, and the protocols tolerate loss by
+    /// Per-connection pending-frame bound (frames the kernel has not yet
+    /// taken, or queued while dialing). When a peer is dead or slow the
+    /// queue would otherwise grow without limit (every retransmission,
+    /// probe and op adds frames nobody drains); beyond this depth the
+    /// OLDEST unwritten frame is dropped — stale rounds lose to the live
+    /// operation's traffic, and the protocols tolerate loss by
     /// construction.
     std::size_t max_queue_frames = 512;
 
@@ -126,16 +128,16 @@ class TcpTransport final : public sim::Transport {
   /// before the first frame can flow; processes may register earlier.
   void start();
 
-  /// Close every socket and join every thread. Idempotent.
+  /// Stop the node's loop and close every socket. Idempotent.
   void stop();
 
   /// Actual listening port (after start() with listen=true).
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// Install a failure detector: enqueue() fast-fails frames to suspected
-  /// peers, the reader feeds receipts back, and the dial path shrinks its
-  /// budget for suspects. Call before start(); not thread-safe to swap
-  /// while frames are flowing.
+  /// Install a failure detector: send() fast-fails frames to suspected
+  /// peers, receipts feed it back, and the dial path shrinks its budget
+  /// for suspects. Call before start(); not thread-safe to swap while
+  /// frames are flowing.
   void set_failure_detector(std::shared_ptr<FailureDetector> fd) {
     detector_ = std::move(fd);
   }
@@ -144,9 +146,9 @@ class TcpTransport final : public sim::Transport {
     return detector_;
   }
 
-  /// Install the deployment's shared fault script: sender loops consult
-  /// sock_fault() per frame for torn-frame / connection-reset injection.
-  /// Call before start().
+  /// Install the deployment's shared fault script: every frame draws one
+  /// sock_fault() verdict before its first byte is written (torn-frame /
+  /// connection-reset injection). Call before start().
   void set_chaos(std::shared_ptr<ChaosController> chaos) {
     chaos_ = std::move(chaos);
   }
@@ -171,7 +173,7 @@ class TcpTransport final : public sim::Transport {
     return frames_replayed_;
   }
 
-  /// Current depth of the sender queue toward `dest` (0 if none exists).
+  /// Pending frames on the route toward `dest` (0 if there is none).
   [[nodiscard]] std::size_t queue_depth(ProcessId dest) const;
 
   // --- sim::Transport --------------------------------------------------------
@@ -182,70 +184,73 @@ class TcpTransport final : public sim::Transport {
                         sim::BodyPtr body) override;
 
  private:
-  /// One TCP connection. A single reader thread owns the receive side; the
-  /// write side is shared by sender threads under write_mu (two outboxes
-  /// may route over one connection when a peer node hosts two processes).
-  /// The fd is closed only in stop(), after every thread that could touch
-  /// it has been joined — readers mark `dead` and shutdown() instead.
-  struct Sock {
+  struct Frame {
+    std::vector<std::uint8_t> bytes;
+    ProcessId to = kNoProcess;
+    int replays = 0;  // times re-offered to a fresh connection
+    std::optional<ChaosController::SockFault> fault;  // drawn at first write
+  };
+
+  /// One TCP connection — or, while dialing, the connection-to-be whose
+  /// queue collects frames across connect attempts.
+  struct Conn {
     int fd = -1;
-    std::mutex write_mu;
-    std::atomic<bool> dead{false};
+    std::uint64_t watch = 0;
+    ProcessId dialed = kNoProcess;  // kNoProcess: accepted
+    int attempt = 0;  // failed connect attempts so far
+    int budget = 0;
+    bool connecting = false;
+    bool dead = false;
+    std::deque<Frame> out;  // front may be partly written
+    std::size_t out_off = 0;
+    std::vector<std::uint8_t> in;  // received bytes [0, in_len)
+    std::size_t in_len = 0;
   };
+  using ConnPtr = std::shared_ptr<Conn>;
 
-  struct Outbox {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<std::vector<std::uint8_t>> q;
-    bool stop = false;
-    std::thread th;
-  };
+  void watch(const ConnPtr& c);
+  void close_watched(int& fd, std::uint64_t watch);
+  void accept_ready();
+  void on_ready(const ConnPtr& c, std::uint32_t events);
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Sock> sock);
-  void sender_loop(ProcessId dest, Outbox* box);
+  /// Queue `f` on the live route to f.to, dialing through the AddressBook
+  /// if there is none; dropped when the destination is unreachable.
+  void route(Frame f);
+  ConnPtr dial(ProcessId dest);
+  void connect_attempt(const ConnPtr& c);
+  /// A connect attempt failed: retry after a jittered delay, or give up
+  /// (suspect the peer, mark it down, drop the queue).
+  void dial_failed(const ConnPtr& c);
 
-  /// The live learned route to `dest`, dialing through the AddressBook if
-  /// there is none. Returns nullptr when the destination is unreachable.
-  std::shared_ptr<Sock> route_or_dial(ProcessId dest);
+  /// Write pending frames until the kernel pushes back.
+  void flush(const ConnPtr& c);
+  /// Read until the socket is drained, delivering every complete frame.
+  void read_ready(const ConnPtr& c);
 
-  /// Wrap an accepted/dialed fd: registers it and spawns its reader.
-  /// Returns nullptr (caller closes fd) when the transport has stopped.
-  std::shared_ptr<Sock> adopt_fd(int fd);
+  /// The connection is gone: close it and re-route its queue if `replay`
+  /// (the frame caught mid-write is re-offered at most
+  /// write_replay_attempts times), else drop it.
+  void kill(ConnPtr c, bool replay);
 
-  void enqueue(ProcessId to, std::vector<std::uint8_t> frame);
-
-  /// Hand a message to the local process `to` (runs inside rt_.run() or a
-  /// posted simulator event — node lock held either way).
+  /// Hand a message to the local process `to` (node lock held).
   void local_deliver(ProcessId from, ProcessId to, const sim::BodyPtr& body);
 
   NodeRuntime& rt_;
   std::shared_ptr<AddressBook> book_;
   Options opt_;
 
-  std::atomic<bool> running_{false};
+  bool running_ = false;
   int listen_fd_ = -1;
+  std::uint64_t listen_watch_ = 0;
   std::uint16_t port_ = 0;
-  std::thread accept_thread_;
 
-  std::mutex procs_mu_;
   std::unordered_map<ProcessId, sim::Process*> procs_;
-
-  std::mutex io_mu_;  // conns_, readers_, routes_, known_peers_, down_until_
-  std::vector<std::shared_ptr<Sock>> conns_;
-  std::vector<std::thread> readers_;
-  std::unordered_map<ProcessId, std::shared_ptr<Sock>> routes_;
-  /// Destinations that were connected at least once. The generous
-  /// first-dial budget (startup race) must never apply to these: a dead
-  /// route may already be erased by its reader thread when the sender
-  /// re-dials, and 40 jittered attempts would delay note_dial_failure —
-  /// and thus suspicion — by seconds.
+  std::unordered_set<ConnPtr> conns_;
+  std::unordered_map<ProcessId, ConnPtr> routes_;
+  /// Destinations connected at least once get the short redial budget:
+  /// 40 jittered first-dial attempts would delay suspicion by seconds.
   std::unordered_set<ProcessId> known_peers_;
-  std::unordered_map<ProcessId, std::chrono::steady_clock::time_point>
-      down_until_;
-
-  mutable std::mutex out_mu_;
-  std::unordered_map<ProcessId, std::unique_ptr<Outbox>> outboxes_;
+  std::unordered_map<ProcessId, SimTime> down_until_;
 
   std::shared_ptr<FailureDetector> detector_;
   std::shared_ptr<ChaosController> chaos_;

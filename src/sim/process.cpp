@@ -103,6 +103,16 @@ void Process::call_broadcast(const std::vector<ProcessId>& dests,
   if (retransmit_.enabled) schedule_retransmit(rpc, /*broadcast=*/true, 1);
 }
 
+std::uint64_t Process::expect_replies(
+    const std::vector<ProcessId>& dests, RpcRequest& req,
+    std::function<void(ProcessId, BodyPtr)> on_reply) {
+  req.rpc_id = next_rpc_id_++;
+  broadcasts_[req.rpc_id] = PendingBroadcast{
+      std::move(on_reply), dests.size(), req.config, req.object, {}, nullptr,
+      {}};
+  return req.rpc_id;
+}
+
 void Process::schedule_retransmit(std::uint64_t rpc, bool broadcast,
                                   int attempt) {
   if (attempt > retransmit_.max_attempts) return;

@@ -205,6 +205,17 @@ class Process {
     (void)next;
   }
 
+  /// Give `req` a fresh rpc id and route replies to it from `dests` (once
+  /// per server) to `on_reply`, without sending anything: for requests that
+  /// leave through a primitive with no reply path of its own (the
+  /// md-primitive's atomic_broadcast), so a server's RetiredReply bounce
+  /// still reaches the waiter. Never retransmitted. Returns the rpc id;
+  /// forget_replies() drops the route once the waiter is done.
+  std::uint64_t expect_replies(
+      const std::vector<ProcessId>& dests, RpcRequest& req,
+      std::function<void(ProcessId, BodyPtr)> on_reply);
+  void forget_replies(std::uint64_t rpc) { broadcasts_.erase(rpc); }
+
  private:
   /// Request context remembered per pending rpc id, so piggybacked hints in
   /// the reply can be attributed to the (config, object) they are about.

@@ -135,6 +135,49 @@ TEST(AresTreas, ChainOfDirectReconfigs) {
   EXPECT_EQ(*tv.value, *payload);
 }
 
+// The transfer's source configuration is retired while the md-primitive
+// request is still in flight: reconfigurer A's REQ-FW-CODE-ELEM is held
+// back until B has finalized a newer configuration and garbage-collected
+// the prefix. C0's servers bounce A's request with a RetiredReply, which
+// must fail A's transfer so A re-syncs and returns, instead of waiting
+// forever for acks nobody will send.
+TEST(AresTreas, TransferSourceRetiredMidTransferCompletes) {
+  harness::AresClusterOptions o = direct_options(7);
+  o.num_reconfigurers = 2;
+  o.config_gc = true;
+  harness::AresCluster cluster(o);
+  auto payload = make_value(make_test_value(2048, 7));
+  auto wtag = sim::run_to_completion(cluster.sim(),
+                                     cluster.client(0).write(payload));
+
+  const ProcessId slow = cluster.reconfigurer(0).id();
+  cluster.net().set_delay_fn(
+      [slow, base = sim::uniform_delay(1, 10)](const sim::Message& m,
+                                               Rng& rng) -> SimDuration {
+        if (m.from == slow &&
+            std::dynamic_pointer_cast<const treas::ReqFwdCodeElem>(m.body)) {
+          return 100'000;
+        }
+        return base(m, rng);
+      });
+
+  auto a = cluster.reconfigurer(0).reconfig(
+      cluster.make_spec(dap::Protocol::kTreas, 5, 5, 3));
+  cluster.sim().run_for(10'000);
+  ASSERT_FALSE(a.ready()) << "A's transfer request should still be held";
+
+  const ConfigId c2 = sim::run_to_completion(
+      cluster.sim(), cluster.reconfigurer(1).reconfig(
+                         cluster.make_spec(dap::Protocol::kTreas, 10, 5, 3)));
+  EXPECT_FALSE(a.ready());
+
+  (void)sim::run_to_completion(cluster.sim(), std::move(a));
+  auto tv = sim::run_to_completion(cluster.sim(), cluster.client(1).read());
+  EXPECT_EQ(tv.tag, wtag);
+  EXPECT_EQ(*tv.value, *payload);
+  EXPECT_EQ(cluster.client(1).cseq().back().cfg, c2);
+}
+
 TEST(AresTreas, FallsBackForNonTreasConfigurations) {
   // Direct transfer requires TREAS on both ends; an ABD initial config
   // triggers the documented fallback to client-conduit transfer.

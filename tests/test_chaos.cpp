@@ -346,7 +346,7 @@ TEST(ChaosTcpOnly, DeadServersFastFailQuorumUnreachable) {
   EXPECT_GE(cluster.detector(0)->suspicions(), 2u);
 }
 
-// The per-destination sender queue is bounded: against a peer that accepts
+// The per-connection pending queue is bounded: against a peer that accepts
 // but never reads, the queue truncates at max_queue_frames by dropping the
 // oldest frame (counted), instead of growing without limit.
 TEST(ChaosTcpOnly, BoundedSenderQueueDropsOldest) {

@@ -150,13 +150,16 @@ TEST(FuzzOraclePower, TransferFenceMutantIsCaught) {
 TEST(FuzzRepros, CheckedInReproducersReplayGreenCleanAndRedMutated) {
   const auto files = list_replays(std::string(ARES_SOURCE_DIR) +
                                   "/tests/repros");
-  ASSERT_GE(files.size(), 3u) << "expected >=3 checked-in reproducers";
+  std::size_t mutated = 0;
   for (const auto& path : files) {
     const ReplayCase rc = load_replay(path);
-    ASSERT_FALSE(rc.mutation.empty()) << path;
     const RunResult clean = run_plan(rc.plan);
     EXPECT_TRUE(clean.ok) << path << " red without its mutation:\n"
                           << clean.violation;
+    // A reproducer of a fixed bug in the clean protocol records no
+    // mutation: replaying green is all it owes.
+    if (rc.mutation.empty()) continue;
+    ++mutated;
     {
       ScopedMutation m(rc.mutation);
       const RunResult red = run_plan(rc.plan);
@@ -165,6 +168,7 @@ TEST(FuzzRepros, CheckedInReproducersReplayGreenCleanAndRedMutated) {
           << " — either the bug class is gone or the plan rotted";
     }
   }
+  EXPECT_GE(mutated, 3u) << "expected >=3 checked-in mutant reproducers";
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
 #include <string>
 
 namespace ares {
@@ -148,6 +150,40 @@ TEST(TcpTransportOnly, WorkloadCrossesTheWireAtomically) {
   EXPECT_GT(backend.cluster().total_frames_sent(), 0u);
   EXPECT_GT(backend.cluster().total_frames_received(), 0u);
 
+  expect_atomic(backend.check());
+}
+
+// One thread per node: the socket runtime runs each node's sockets and
+// timers on a single loop thread, so a loaded deployment holds one thread
+// per node plus the workload's own (and the test's main thread).
+TEST(TcpTransportOnly, ThreadsPerNodeAreBounded) {
+  DeployConfig cfg;
+  cfg.clients = 4;
+  TcpBackend backend(cfg);
+
+  harness::WorkloadOptions w;
+  w.ops_per_client = 50;
+  w.write_fraction = 0.3;
+  w.value_size = 256;
+  w.seed = 5;
+  std::atomic<std::size_t> peak{0};
+  w.on_op = [&peak](const harness::OpStat&) {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& e :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      ++n;
+    }
+    std::size_t seen = peak.load();
+    while (n > seen && !peak.compare_exchange_weak(seen, n)) {
+    }
+  };
+  const auto result = net::run_net_workload(backend.cluster(), w);
+  EXPECT_EQ(result.failures, 0u);
+
+  const std::size_t nodes = cfg.servers + cfg.clients;
+  EXPECT_GT(peak.load(), cfg.clients);
+  EXPECT_LE(peak.load(), nodes + cfg.clients + 2)
+      << "threads per node grew past one loop";
   expect_atomic(backend.check());
 }
 
