@@ -9,67 +9,35 @@ const sim::TrafficStats* AresStore::traffic() const {
 }
 
 sim::Future<OpResult> AresStore::read(ObjectId obj) {
-  const auto before = detail::sample(traffic());
-  OpResult r;
-  r.object = obj;
-  auto armed = detail::arm_deadline(client_, op_deadline());
-  try {
-    auto op = client_.read(obj);
-    TagValue tv = co_await op;
-    r.tag = tv.tag;
-    r.value = tv.value;
-  } catch (const sim::OpAborted& e) {
-    r.status = detail::status_of(e);
-  } catch (const sim::ConfigRetired&) {
-    r.status = OpStatus::kRetired;
-  }
-  detail::disarm(armed);
-  r.metrics = detail::delta(before, traffic());
-  co_return r;
+  return detail::run_op(client_, op_deadline(),
+                        detail::result_for(obj, /*is_write=*/false),
+                        [this, obj] { return client_.read(obj); });
 }
 
 sim::Future<OpResult> AresStore::write(ObjectId obj, ValuePtr value) {
-  const auto before = detail::sample(traffic());
-  OpResult r;
-  r.object = obj;
-  r.is_write = true;
-  auto armed = detail::arm_deadline(client_, op_deadline());
-  try {
-    auto op = client_.write(obj, std::move(value));
-    const Tag tag = co_await op;
-    r.tag = tag;
-  } catch (const sim::OpAborted& e) {
-    r.status = detail::status_of(e);
-  } catch (const sim::ConfigRetired&) {
-    r.status = OpStatus::kRetired;
-  }
-  detail::disarm(armed);
-  r.metrics = detail::delta(before, traffic());
-  co_return r;
+  return detail::run_op(
+      client_, op_deadline(), detail::result_for(obj, /*is_write=*/true),
+      [this, obj, value = std::move(value)]() mutable {
+        return client_.write(obj, std::move(value));
+      });
 }
 
 sim::Future<OpResult> AresStore::reconfig(ObjectId obj, dap::ConfigSpec spec) {
-  const auto before = detail::sample(traffic());
-  OpResult r;
-  r.object = obj;
-  auto armed = detail::arm_deadline(client_, op_deadline());
-  try {
-    auto op = client_.reconfig(obj, std::move(spec));
-    const ConfigId installed = co_await op;
-    r.installed = installed;
-  } catch (const sim::OpAborted& e) {
-    r.status = detail::status_of(e);
-  } catch (const sim::ConfigRetired&) {
-    r.status = OpStatus::kRetired;
-  }
-  detail::disarm(armed);
-  r.metrics = detail::delta(before, traffic());
-  co_return r;
+  return detail::run_op(client_, op_deadline(),
+                        detail::result_for(obj, /*is_write=*/false),
+                        [this, obj, spec = std::move(spec)]() mutable {
+                          return client_.reconfig(obj, std::move(spec));
+                        });
 }
 
 sim::Future<std::vector<OpResult>> AresStore::read_many(
     std::span<const ObjectId> objs) {
-  return run_many(std::vector<ObjectId>(objs.begin(), objs.end()), {});
+  return detail::run_op(client_, op_deadline(),
+                        detail::results_for(objs, /*is_write=*/false),
+                        [this, keys = std::vector(objs.begin(), objs.end())]()
+                            mutable {
+                          return client_.read_batch(std::move(keys));
+                        });
 }
 
 sim::Future<std::vector<OpResult>> AresStore::write_many(
@@ -80,35 +48,12 @@ sim::Future<std::vector<OpResult>> AresStore::write_many(
     keys.push_back(op.object);
     values.push_back(op.value);
   }
-  return run_many(std::move(keys), std::move(values));
-}
-
-sim::Future<std::vector<OpResult>> AresStore::run_many(
-    std::vector<ObjectId> keys, std::vector<ValuePtr> values) {
-  const auto before = detail::sample(traffic());
-  const bool writes = !values.empty();
-  std::vector<OpResult> out(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    out[i].object = keys[i];
-    out[i].is_write = writes;
-  }
-  auto armed = detail::arm_deadline(client_, op_deadline());
-  try {
-    auto op = writes ? client_.write_batch(std::move(keys), std::move(values))
-                     : client_.read_batch(std::move(keys));
-    const std::vector<TagValue> pairs = co_await op;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      out[i].tag = pairs[i].tag;
-      if (!writes) out[i].value = pairs[i].value;
-    }
-  } catch (const sim::OpAborted& e) {
-    for (auto& r : out) r.status = detail::status_of(e);
-  } catch (const sim::ConfigRetired&) {
-    for (auto& r : out) r.status = OpStatus::kRetired;
-  }
-  detail::disarm(armed);
-  detail::amortize(out, detail::delta(before, traffic()));
-  co_return out;
+  std::vector<OpResult> out = detail::results_for(keys, /*is_write=*/true);
+  return detail::run_op(
+      client_, op_deadline(), std::move(out),
+      [this, keys = std::move(keys), values = std::move(values)]() mutable {
+        return client_.write_batch(std::move(keys), std::move(values));
+      });
 }
 
 }  // namespace ares::api

@@ -39,10 +39,6 @@ class AresStore final : public Store {
   [[nodiscard]] reconfig::AresClient& client() { return client_; }
 
  private:
-  /// read_many (`values` empty) or write_many through the client's engine.
-  [[nodiscard]] sim::Future<std::vector<OpResult>> run_many(
-      std::vector<ObjectId> keys, std::vector<ValuePtr> values);
-
   reconfig::AresClient& client_;
 };
 

@@ -1,9 +1,12 @@
 // Store adapter over the static A1/A2 register stack (one configuration,
 // no reconfiguration): scalar operations run the generic templates through
-// the per-object RegisterClients; batched operations turn members into one
-// multi-object quorum round per phase when the configuration's protocol is
-// batch-capable (whole replicas — ABD), falling back to the per-object
-// loop otherwise. reconfig() is capability-gated off.
+// the per-object RegisterClients. Batches over a batch-capable (ABD)
+// configuration run the static A1 template as waves over the member-set
+// rounds AresClient's engine uses (dap/batch.hpp): one op per distinct
+// object per wave — a repeated read shares its object's op, a repeated
+// write waits for a later wave — and a write-back only for reads whose tag
+// is not yet confirmed. Coded and role-split protocols (TREAS, LDR) run
+// the per-object Store loop. reconfig() is capability-gated off.
 #pragma once
 
 #include "api/store.hpp"
@@ -34,13 +37,10 @@ class StaticStore final : public Store {
   [[nodiscard]] harness::StaticClient& client() { return client_; }
 
  private:
-  /// The batch orchestration bodies; the public read_many/write_many wrap
-  /// them with the per-op deadline alarm and map sim::OpAborted to a typed
-  /// per-member OpStatus.
-  [[nodiscard]] sim::Future<std::vector<OpResult>> read_many_impl(
-      std::span<const ObjectId> objs);
-  [[nodiscard]] sim::Future<std::vector<OpResult>> write_many_impl(
-      std::span<const WriteOp> ops);
+  /// The waves: reads of `objs` when `values` is empty, else writes.
+  /// Records every op; returns each member's pair, aligned with `objs`.
+  [[nodiscard]] sim::Future<std::vector<TagValue>> run_members(
+      std::vector<ObjectId> objs, std::vector<ValuePtr> values);
 
   harness::StaticClient& client_;
 };

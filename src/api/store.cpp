@@ -45,17 +45,27 @@ sim::Future<std::vector<OpResult>> Store::write_many(
   co_return out;
 }
 
-void detail::amortize(std::vector<OpResult>& results, const OpMetrics& total) {
-  if (results.empty()) return;
-  const auto n = static_cast<std::uint64_t>(results.size());
-  for (auto& r : results) {
-    r.metrics = {total.rounds / n, total.messages / n, total.bytes / n,
-                 total.elided_rounds / n};
-  }
-  results.front().metrics.rounds += total.rounds % n;
-  results.front().metrics.messages += total.messages % n;
-  results.front().metrics.bytes += total.bytes % n;
-  results.front().metrics.elided_rounds += total.elided_rounds % n;
+OpMetrics detail::delta(const sim::TrafficStats& before,
+                        const sim::TrafficStats& after) {
+  return {after.quorum_rounds - before.quorum_rounds,
+          after.messages_sent - before.messages_sent,
+          after.bytes_total() - before.bytes_total(),
+          after.rounds_elided - before.rounds_elided};
+}
+
+OpResult detail::result_for(ObjectId obj, bool is_write) {
+  OpResult r;
+  r.object = obj;
+  r.is_write = is_write;
+  return r;
+}
+
+std::vector<OpResult> detail::results_for(std::span<const ObjectId> objs,
+                                          bool is_write) {
+  std::vector<OpResult> out;
+  out.reserve(objs.size());
+  for (ObjectId obj : objs) out.push_back(result_for(obj, is_write));
+  return out;
 }
 
 std::shared_ptr<bool> detail::arm_deadline(sim::Process& p,
@@ -72,13 +82,45 @@ std::shared_ptr<bool> detail::arm_deadline(sim::Process& p,
   return armed;
 }
 
-void detail::disarm(const std::shared_ptr<bool>& armed) {
-  if (armed) *armed = false;
+void detail::record(OpResult& r, const TagValue& tv) {
+  r.tag = tv.tag;
+  r.value = tv.value;
 }
 
-OpStatus detail::status_of(const sim::OpAborted& e) {
-  return e.reason == sim::OpAborted::Reason::kCancelled ? OpStatus::kCancelled
-                                                        : OpStatus::kTimeout;
+void detail::record(OpResult& r, const Tag& tag) { r.tag = tag; }
+
+void detail::record(OpResult& r, ConfigId installed) {
+  r.installed = installed;
+}
+
+void detail::record(std::vector<OpResult>& rs,
+                    const std::vector<TagValue>& tvs) {
+  for (std::size_t i = 0; i < tvs.size(); ++i) {
+    rs[i].tag = tvs[i].tag;
+    if (!rs[i].is_write) rs[i].value = tvs[i].value;
+  }
+}
+
+void detail::settle(OpResult& r, OpStatus status, const OpMetrics& cost) {
+  r.status = status;
+  r.metrics = cost;
+}
+
+void detail::settle(std::vector<OpResult>& rs, OpStatus status,
+                    const OpMetrics& cost) {
+  if (rs.empty()) return;
+  // Each member's share; the remainder lands on the first member so the
+  // shares sum back to the batch total.
+  const auto n = static_cast<std::uint64_t>(rs.size());
+  for (OpResult& r : rs) {
+    r.status = status;
+    r.metrics = {cost.rounds / n, cost.messages / n, cost.bytes / n,
+                 cost.elided_rounds / n};
+  }
+  rs.front().metrics.rounds += cost.rounds % n;
+  rs.front().metrics.messages += cost.messages % n;
+  rs.front().metrics.bytes += cost.bytes % n;
+  rs.front().metrics.elided_rounds += cost.elided_rounds % n;
 }
 
 }  // namespace ares::api

@@ -147,48 +147,67 @@ class Store {
 
 namespace detail {
 
-/// Snapshot of the metered counters, for before/after deltas.
-struct TrafficSample {
-  std::uint64_t rounds = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t elided = 0;
-};
+/// The metered cost between two snapshots of a process's counters.
+[[nodiscard]] OpMetrics delta(const sim::TrafficStats& before,
+                              const sim::TrafficStats& after);
 
-[[nodiscard]] inline TrafficSample sample(const sim::TrafficStats* t) {
-  if (t == nullptr) return {};
-  return {t->quorum_rounds, t->messages_sent, t->bytes_total(),
-          t->rounds_elided};
-}
-
-[[nodiscard]] inline OpMetrics delta(const TrafficSample& before,
-                                     const sim::TrafficStats* t) {
-  if (t == nullptr) return {};
-  return {t->quorum_rounds - before.rounds,
-          t->messages_sent - before.messages,
-          t->bytes_total() - before.bytes,
-          t->rounds_elided - before.elided};
-}
-
-/// Spread a batch's total cost across `results` (amortized per-member
-/// share; the remainder lands on the first member so the sum is exact).
-void amortize(std::vector<OpResult>& results, const OpMetrics& total);
+/// A blank result for one operation on `obj`, or one per member of a
+/// batch over `objs`.
+[[nodiscard]] OpResult result_for(ObjectId obj, bool is_write);
+[[nodiscard]] std::vector<OpResult> results_for(std::span<const ObjectId> objs,
+                                                bool is_write);
 
 /// Arm a one-shot deadline alarm on `p`'s simulator (null when
 /// `deadline_us` is 0). When it fires and the returned flag is still true,
 /// every pending quorum wait of `p` fails with sim::OpAborted — the
 /// suspended operation unwinds through its frame destructors
-/// (InflightGuards, cseq pins) and the adapter maps the exception to a
-/// typed OpStatus via status_of. Works on both backends: the deterministic
-/// simulator runs the timer in virtual time, NodeRuntime pumps it at the
-/// corresponding wall-clock instant.
+/// (InflightGuards, cseq pins) and run_op maps the exception to a typed
+/// OpStatus; clearing the flag disarms it. Works on both backends: the
+/// deterministic simulator runs the timer in virtual time, NodeRuntime
+/// pumps it at the corresponding wall-clock instant.
 [[nodiscard]] std::shared_ptr<bool> arm_deadline(sim::Process& p,
                                                  SimDuration deadline_us);
 
-/// Cancel an alarm armed by arm_deadline (no-op on null).
-void disarm(const std::shared_ptr<bool>& armed);
+/// run_op's outcome fills: a read's pair, a write's tag, a reconfig's
+/// installed configuration, a batch's pairs (write members keep no value).
+void record(OpResult& r, const TagValue& tv);
+void record(OpResult& r, const Tag& tag);
+void record(OpResult& r, ConfigId installed);
+void record(std::vector<OpResult>& rs, const std::vector<TagValue>& tvs);
 
-[[nodiscard]] OpStatus status_of(const sim::OpAborted& e);
+/// Stamp `status` and the measured `cost` on a result, or on every member
+/// of a batch (each carrying its amortized share).
+void settle(OpResult& r, OpStatus status, const OpMetrics& cost);
+void settle(std::vector<OpResult>& rs, OpStatus status, const OpMetrics& cost);
+
+/// The envelope of every adapter operation: samples `p`'s traffic, arms the
+/// deadline, starts the operation — `start()` runs before the first
+/// suspension and returns the op's Future — and records its outcome into
+/// `out`. An OpAborted (ConfigRetired) becomes kTimeout or kCancelled
+/// (kRetired) instead. Either way the alarm is disarmed and the traffic
+/// delta charged to `out`. Per the GCC-12 rule in sim/coro.hpp, `start`
+/// must capture by value.
+template <typename Results, typename Start>
+sim::Future<Results> run_op(sim::Process& p, SimDuration deadline,
+                            Results out, Start start) {
+  const sim::TrafficStats before = p.traffic();
+  auto armed = arm_deadline(p, deadline);
+  OpStatus status = OpStatus::kOk;
+  try {
+    auto op = start();
+    const auto value = co_await op;
+    record(out, value);
+  } catch (const sim::OpAborted& e) {
+    status = e.reason == sim::OpAborted::Reason::kCancelled
+                 ? OpStatus::kCancelled
+                 : OpStatus::kTimeout;
+  } catch (const sim::ConfigRetired&) {
+    status = OpStatus::kRetired;
+  }
+  if (armed) *armed = false;
+  settle(out, status, delta(before, p.traffic()));
+  co_return out;
+}
 
 }  // namespace detail
 

@@ -543,20 +543,24 @@ sim::Future<void> AresClient::run_group(std::vector<Member>& ms,
       const std::size_t m0 = mu(lead);
       const std::size_t v0 = nu(lead);
       const ConfigId tail = cseq(lead)[v0].cfg;
-      std::vector<ObjectId> objs;
-      for (std::size_t i : q) objs.push_back(ms[i].obj);
-      std::vector<dap::GetDataResult> best(q.size());
+      std::vector<dap::MemberResult> best(q.size());
       for (std::size_t i = m0; i <= v0; ++i) {
         // Ask for grants only when the whole sequence is this one
         // configuration — the settle gates of a superseded configuration
         // do not cover writes landing in its successors, and a grant the
         // client cannot install would still stall later writers.
         const bool want_lease = !writes && fast_path_ && m0 == v0 && i == v0;
-        auto round =
-            query_round(cseq(lead)[i].cfg, objs, /*tags_only=*/writes,
-                        want_lease);
-        const std::vector<dap::GetDataResult> rs = co_await round;
+        const ConfigId cfg = cseq(lead)[i].cfg;
+        std::vector<dap::Dap*> daps;
+        for (std::size_t k : q) daps.push_back(dap_for(ms[k].obj, cfg).get());
+        auto round = dap::query_round(*this, registry_.get(cfg),
+                                      std::move(daps), /*tags_only=*/writes,
+                                      want_lease);
+        const std::vector<dap::MemberResult> rs = co_await round;
         for (std::size_t k = 0; k < q.size(); ++k) {
+          if (rs[k].next_c.valid()) {
+            note_config_hint(cfg, ms[q[k]].obj, rs[k].next_c);
+          }
           if (rs[k].tv.tag > best[k].tv.tag || (!writes && !best[k].tv.value)) {
             best[k] = rs[k];
           }
@@ -607,12 +611,18 @@ sim::Future<void> AresClient::run_group(std::vector<Member>& ms,
     // install premise needs (mirrors the read query's want_lease).
     const bool want_lease = writes && fast_path_ && obj_state(lead).synced &&
                             mu(lead) == nu(lead) && tail_covers_hints(lead);
-    std::vector<dap::BatchPutItem> items;
+    std::vector<dap::PutMember> puts;
     for (std::size_t i : p) {
-      items.push_back({ms[i].obj, ms[i].tv.tag, ms[i].tv.value});
+      puts.push_back({dap_for(ms[i].obj, tail).get(), ms[i].tv});
     }
-    auto round = put_round(tail, std::move(items), want_lease);
-    const std::vector<SimTime> grants = co_await round;
+    auto round = dap::put_round(*this, registry_.get(tail), std::move(puts),
+                                want_lease);
+    const std::vector<dap::MemberResult> acks = co_await round;
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      if (acks[k].next_c.valid()) {
+        note_config_hint(tail, ms[p[k]].obj, acks[k].next_c);
+      }
+    }
     // The post-put read-config is elidable when the ack quorum came back
     // hint-free: a racing transfer's fenced read waits for a quorum that
     // installed the successor pointer, which intersects our ack quorum —
@@ -635,8 +645,8 @@ sim::Future<void> AresClient::run_group(std::vector<Member>& ms,
       // Write-ack lease: a full quorum granted on the ack, certifying our
       // pair is each granting server's current register — the writer
       // immediately re-leases its own value. (Reads never ask.)
-      if (grants[k] > 0) {
-        m.lease = grants[k];
+      if (acks[k].lease_expiry > 0) {
+        m.lease = acks[k].lease_expiry;
         m.lease_cfg = tail;
       }
       finish(m);
@@ -673,60 +683,6 @@ sim::Future<void> AresClient::run_group(std::vector<Member>& ms,
       m.step = Step::kQuery;
     }
   }
-}
-
-sim::Future<std::vector<dap::GetDataResult>> AresClient::query_round(
-    ConfigId cfg, std::vector<ObjectId> objs, bool tags_only,
-    bool want_lease) {
-  std::vector<dap::GetDataResult> out(objs.size());
-  if (objs.size() == 1) {
-    const std::shared_ptr<dap::Dap>& dap = dap_for(objs.front(), cfg);
-    if (tags_only) {
-      out.front().tv.tag = co_await dap->get_tag();
-    } else {
-      out.front() = co_await dap->get_data_confirmed(want_lease);
-    }
-    co_return out;
-  }
-  const dap::ConfigSpec& spec = registry_.get(cfg);
-  std::vector<Tag> hints;
-  for (ObjectId o : objs) hints.push_back(dap_for(o, cfg)->confirmed_tag());
-  auto fut = dap::batch_get_data(*this, spec, objs, tags_only,
-                                 std::move(hints), want_lease);
-  const std::vector<dap::BatchQueryItem> items = co_await fut;
-  for (std::size_t k = 0; k < objs.size(); ++k) {
-    const dap::BatchQueryItem& item = items[k];
-    if (item.next_c.valid()) note_config_hint(cfg, objs[k], item.next_c);
-    out[k].tv = TagValue{item.tag, item.value};
-    out[k].lease_expiry = item.lease_expiry;
-    // Same semifast rule as the scalar primitive (AbdDap).
-    if (spec.semifast && item.confirmed >= item.tag) {
-      out[k].confirmed = true;
-      dap_for(objs[k], cfg)->note_confirmed(item.tag);
-    }
-  }
-  co_return out;
-}
-
-sim::Future<std::vector<SimTime>> AresClient::put_round(
-    ConfigId cfg, std::vector<dap::BatchPutItem> items, bool want_lease) {
-  if (items.size() == 1) {
-    const dap::BatchPutItem& item = items.front();
-    const TagValue tv{item.tag, item.value};
-    auto put = dap_for(item.object, cfg)->put_data_leased(tv, want_lease);
-    const dap::PutDataResult r = co_await put;
-    co_return std::vector<SimTime>{r.lease_expiry};
-  }
-  auto fut =
-      dap::batch_put_data(*this, registry_.get(cfg), items, want_lease);
-  dap::BatchPutResult ack = co_await fut;
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    if (ack.next_cs[k].valid()) {
-      note_config_hint(cfg, items[k].object, ack.next_cs[k]);
-    }
-    dap_for(items[k].object, cfg)->note_confirmed(items[k].tag);
-  }
-  co_return std::move(ack.lease_expiries);
 }
 
 void AresClient::finish(Member& m) {

@@ -344,17 +344,6 @@ class AresClient : public sim::Process {
                                             std::vector<std::size_t> group,
                                             bool writes);
 
-  /// One quorum round on `cfg` for every listed object: the scalar Dap
-  /// primitive for one object, the dap/batch primitive (absorbing each
-  /// member's hint) for several — the only place the engine tells a batch
-  /// from a scalar op. query_round runs get-data (get-tag when
-  /// `tags_only`); put_round returns each item's write-ack lease grant.
-  [[nodiscard]] sim::Future<std::vector<dap::GetDataResult>> query_round(
-      ConfigId cfg, std::vector<ObjectId> objs, bool tags_only,
-      bool want_lease);
-  [[nodiscard]] sim::Future<std::vector<SimTime>> put_round(
-      ConfigId cfg, std::vector<dap::BatchPutItem> items, bool want_lease);
-
   /// Install the member's lease if the steady state it was granted in
   /// still holds, and mark the member done.
   void finish(Member& m);

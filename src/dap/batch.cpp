@@ -1,6 +1,6 @@
 #include "dap/batch.hpp"
 
-#include "dap/dap.hpp"
+#include "dap/messages.hpp"
 
 #include <cassert>
 
@@ -17,96 +17,119 @@ void merge_next(CseqEntry& best, const CseqEntry& seen) {
 
 }  // namespace
 
-sim::Future<std::vector<BatchQueryItem>> batch_get_data(
-    sim::Process& owner, ConfigSpec spec, std::vector<ObjectId> objects,
-    bool tags_only, std::vector<Tag> confirmed_hints, bool want_leases) {
+sim::Future<std::vector<MemberResult>> query_round(
+    sim::Process& owner, const ConfigSpec& spec, std::vector<Dap*> members,
+    bool tags_only, bool want_leases) {
+  assert(!members.empty());
+  std::vector<MemberResult> out(members.size());
+  if (members.size() == 1) {
+    Dap& dap = *members.front();
+    if (tags_only) {
+      out.front().tv.tag = co_await dap.get_tag();
+    } else {
+      const GetDataResult r = co_await dap.get_data_confirmed(want_leases);
+      out.front().tv = r.tv;
+      out.front().confirmed = r.confirmed;
+      out.front().lease_expiry = r.lease_expiry;
+    }
+    co_return out;
+  }
   assert(batch_capable(spec));
   auto req = std::make_shared<QueryBatchReq>();
   req->config = spec.id;
-  req->object = objects.empty() ? kDefaultObject : objects.front();
-  req->objects = objects;
+  req->object = members.front()->object();
   req->tags_only = tags_only;
   req->want_leases = want_leases;
-  req->confirmed_hints = std::move(confirmed_hints);
-  if (!req->confirmed_hints.empty()) {
-    req->confirmed_hint = req->confirmed_hints.front();
+  for (const Dap* d : members) {
+    req->objects.push_back(d->object());
+    req->confirmed_hints.push_back(d->confirmed_tag());
   }
+  req->confirmed_hint = req->confirmed_hints.front();
   auto qc = sim::broadcast_collect<QueryBatchReply>(owner, spec.servers,
                                                     std::move(req));
   co_await qc.wait_for(spec.quorum_size());
 
-  std::vector<QuorumFold> folds(objects.size());
-  std::vector<BatchQueryItem> best(objects.size());
+  std::vector<QuorumFold> folds(members.size());
   for (const auto& a : qc.arrivals()) {
     // Replies echo the request's object order; tolerate short replies
     // defensively (a foreign or truncated reply contributes nothing).
-    const std::size_t n = std::min(a.reply->items.size(), best.size());
+    const std::size_t n = std::min(a.reply->items.size(), out.size());
     for (std::size_t i = 0; i < n; ++i) {
       const BatchQueryItem& item = a.reply->items[i];
-      if (item.object != objects[i]) continue;
+      if (item.object != members[i]->object()) continue;
       folds[i].add(item.tag, item.value, item.confirmed, item.lease_expiry);
-      merge_next(best[i].next_c, item.next_c);
+      merge_next(out[i].next_c, item.next_c);
     }
   }
-  for (std::size_t i = 0; i < objects.size(); ++i) {
-    best[i].object = objects[i];
-    best[i].tag = folds[i].best.tag;
-    best[i].value = folds[i].best.value;
-    best[i].confirmed = folds[i].confirmed;
-    best[i].lease_expiry = folds[i].lease(spec.quorum_size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].tv = folds[i].best;
+    out[i].lease_expiry = folds[i].lease(spec.quorum_size());
+    // The semifast rule of AbdDap::get_data_confirmed: one confirming
+    // server vouches that a quorum already stores the returned tag.
+    if (spec.semifast && folds[i].confirmed >= folds[i].best.tag) {
+      out[i].confirmed = true;
+      members[i]->note_confirmed(folds[i].best.tag);
+    }
   }
-  co_return best;
+  co_return out;
 }
 
-sim::Future<BatchPutResult> batch_put_data(
-    sim::Process& owner, ConfigSpec spec, std::vector<BatchPutItem> items,
-    bool want_leases) {
+sim::Future<std::vector<MemberResult>> put_round(
+    sim::Process& owner, const ConfigSpec& spec,
+    std::vector<PutMember> members, bool want_leases) {
+  assert(!members.empty());
+  std::vector<MemberResult> out(members.size());
+  if (members.size() == 1) {
+    const PutMember& m = members.front();
+    auto put = m.dap->put_data_leased(m.tv, want_leases);
+    const PutDataResult r = co_await put;
+    out.front().lease_expiry = r.lease_expiry;
+    co_return out;
+  }
   assert(batch_capable(spec));
   auto req = std::make_shared<PutBatchReq>();
   req->config = spec.id;
-  req->object = items.empty() ? kDefaultObject : items.front().object;
-  req->items = items;
+  req->object = members.front().dap->object();
   req->want_leases = want_leases;
+  for (const PutMember& m : members) {
+    req->items.push_back({m.dap->object(), m.tv.tag, m.tv.value});
+  }
   auto qc = sim::broadcast_collect<PutBatchReply>(owner, spec.servers,
                                                   std::move(req));
   co_await qc.wait_for(spec.quorum_size());
 
-  // Every item's ⟨τ, v⟩ now rests at a quorum: tell the servers in one
+  // Every member's ⟨τ, v⟩ now rests at a quorum: tell the servers in one
   // fire-and-forget broadcast so subsequent reads can elide the write-back.
-  if (spec.semifast && !items.empty()) {
+  if (spec.semifast) {
     auto confirm = std::make_shared<ConfirmBatchMsg>();
     confirm->config = spec.id;
-    confirm->object = items.front().object;
-    confirm->tags.reserve(items.size());
-    for (const auto& it : items) {
-      confirm->tags.push_back({it.object, it.tag});
+    confirm->object = members.front().dap->object();
+    confirm->tags.reserve(members.size());
+    for (const PutMember& m : members) {
+      confirm->tags.push_back({m.dap->object(), m.tv.tag});
     }
     const sim::BodyPtr body = std::move(confirm);
     for (ProcessId s : spec.servers) owner.send(s, body);
   }
 
-  BatchPutResult result;
-  result.next_cs.resize(items.size());
-  std::vector<QuorumFold> folds(items.size());
+  std::vector<QuorumFold> folds(members.size());
   for (const auto& a : qc.arrivals()) {
-    const std::size_t n =
-        std::min(a.reply->next_cs.size(), result.next_cs.size());
+    const std::size_t n = std::min(a.reply->next_cs.size(), out.size());
     for (std::size_t i = 0; i < n; ++i) {
-      merge_next(result.next_cs[i], a.reply->next_cs[i]);
+      merge_next(out[i].next_c, a.reply->next_cs[i]);
     }
-    const std::size_t m =
-        std::min(a.reply->lease_expiries.size(), items.size());
+    const std::size_t m = std::min(a.reply->lease_expiries.size(), out.size());
     for (std::size_t i = 0; i < m; ++i) {
       folds[i].add_grant(a.reply->lease_expiries[i]);
     }
   }
-  // Per item: only a full quorum of granting acks makes an enforceable
-  // write-ack lease (see QuorumFold::lease).
-  result.lease_expiries.reserve(items.size());
-  for (const QuorumFold& f : folds) {
-    result.lease_expiries.push_back(f.lease(spec.quorum_size()));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    // Only a full quorum of granting acks makes an enforceable write-ack
+    // lease (see QuorumFold::lease).
+    out[i].lease_expiry = folds[i].lease(spec.quorum_size());
+    members[i].dap->note_confirmed(members[i].tv.tag);
   }
-  co_return result;
+  co_return out;
 }
 
 }  // namespace ares::dap

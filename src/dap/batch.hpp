@@ -1,13 +1,17 @@
-// Client-side batched multi-object quorum primitives: one QueryBatch /
-// PutBatch round over a configuration's servers covers every listed object,
-// so B objects sharing a configuration cost one quorum round instead of B.
-// These are the building blocks the Store adapters (and AresClient's op
-// engine, for groups of two or more) compose; the per-configuration
-// grouping and the reconfiguration bookkeeping live in the callers.
+// The member-set quorum rounds of the generic read/write template
+// (Algorithm 7; templates A1/A2 of Algorithms 10–11): one get-data (or
+// get-tag) round and one put-data round over a set of members, each a Dap
+// bound to one object of one configuration. A lone member runs its Dap's
+// scalar primitive; two or more whole-replica (ABD) members share one
+// QueryBatchReq / PutBatchReq frame, so B objects in a configuration cost
+// one quorum round instead of B. Both shapes apply the same semifast
+// confirm rule and feed the members' confirmed-tag caches. AresClient's op
+// engine and StaticStore's batches both run on these two calls; waves,
+// hint absorption and post-put config checks stay in the callers.
 #pragma once
 
 #include "dap/config.hpp"
-#include "dap/messages.hpp"
+#include "dap/dap.hpp"
 #include "sim/coro.hpp"
 #include "sim/process.hpp"
 
@@ -15,49 +19,53 @@
 
 namespace ares::dap {
 
-/// True when `spec`'s protocol serves the whole-replica batch primitives
-/// (servers store full values per object). Coded (TREAS) and role-split
-/// (LDR) configurations decline; callers fall back to per-object ops.
+/// True when `spec`'s protocol serves the shared batch frames (servers
+/// store full values per object). Coded (TREAS) and role-split (LDR)
+/// configurations decline; their members run one at a time.
 [[nodiscard]] inline bool batch_capable(const ConfigSpec& spec) {
   return spec.protocol == Protocol::kAbd;
 }
 
-/// One get-data (or get-tag, with `tags_only`) quorum round for every
-/// object in `objects` on `spec`'s servers. Returns one item per object
-/// (aligned with `objects`): the max-tag pair across the quorum, the max
-/// confirmed tag, and the "best" piggybacked nextC observed (finalized
-/// preferred). `confirmed_hints` (may be empty) parallels `objects`.
-/// `want_leases` requests per-member read-lease grants (callers that can
-/// install them only; see Dap::get_data_confirmed) — each item's
-/// lease_expiry is then the min expiry across a full quorum of grants
-/// (0 unless a quorum granted).
-[[nodiscard]] sim::Future<std::vector<BatchQueryItem>> batch_get_data(
-    sim::Process& owner, ConfigSpec spec, std::vector<ObjectId> objects,
-    bool tags_only, std::vector<Tag> confirmed_hints,
-    bool want_leases = false);
-
-/// What one batched put-data round learned, per request item (both vectors
-/// aligned with `items`).
-struct BatchPutResult {
-  /// Ack-time nextC hints. Under fenced transfer reads a hint-free ack
-  /// quorum proves no transfer can have missed an item's tag (see
-  /// AresClient::run_group), so its post-put config check is elidable;
-  /// with the fast path off they remain an opportunistic staleness signal
-  /// only.
-  std::vector<CseqEntry> next_cs;
-  /// Write-ack lease expiry per item: the min expiry across a full quorum
-  /// of granting acks, 0 when any counted ack declined (only a
-  /// quorum-backed lease is enforceable — see abd::WriteAck::lease_expiry).
-  std::vector<SimTime> lease_expiries;
+/// One member's outcome of a query_round or put_round.
+struct MemberResult {
+  /// Query rounds: the max-tag pair across the quorum (the tag only under
+  /// get-tag), and whether it is semifast-confirmed — known to rest at a
+  /// quorum, so A1's write-back may be elided (always false with the
+  /// configuration's `semifast` flag off).
+  TagValue tv;
+  bool confirmed = false;
+  /// The full-quorum lease grant the round backs: a read lease on a query,
+  /// a write-ack lease on a put (0 = none).
+  SimTime lease_expiry = 0;
+  /// The member's nextC as a shared frame reported it. ⊥ for a lone member:
+  /// its scalar reply's hint already reached the owner's
+  /// Process::note_config_hint on delivery.
+  CseqEntry next_c;
 };
 
-/// One put-data quorum round for every item on `spec`'s servers. After the
-/// quorum acks, every item's tag rests at a quorum: when `spec.semifast`,
-/// one ConfirmBatch broadcast tells the servers so. `want_leases` asks the
-/// servers for per-item write-ack lease grants riding the acks (callers
-/// that can install them only).
-[[nodiscard]] sim::Future<BatchPutResult> batch_put_data(
-    sim::Process& owner, ConfigSpec spec, std::vector<BatchPutItem> items,
-    bool want_leases = false);
+/// One member of a put round: its Dap and the pair it propagates.
+struct PutMember {
+  Dap* dap = nullptr;
+  TagValue tv;
+};
+
+/// One get-data round (get-tag when `tags_only`) on `spec`'s servers for
+/// every member. Results align with `members`. `want_leases` asks for
+/// read-lease grants (callers that can install them only; see
+/// Dap::get_data_confirmed). `spec` (a ConfigRegistry entry or the owner's
+/// own spec) and the members' Daps must outlive the round. Two or more
+/// members need a batch_capable configuration.
+[[nodiscard]] sim::Future<std::vector<MemberResult>> query_round(
+    sim::Process& owner, const ConfigSpec& spec, std::vector<Dap*> members,
+    bool tags_only, bool want_leases);
+
+/// One put-data round on `spec`'s servers for every member. Afterwards every
+/// member's pair rests at a quorum: its Dap notes the tag confirmed and,
+/// when `spec.semifast`, the servers are told so. `want_leases` asks for
+/// write-ack lease grants riding the acks (callers that can install them
+/// only). Same lifetime rules as query_round.
+[[nodiscard]] sim::Future<std::vector<MemberResult>> put_round(
+    sim::Process& owner, const ConfigSpec& spec,
+    std::vector<PutMember> members, bool want_leases);
 
 }  // namespace ares::dap

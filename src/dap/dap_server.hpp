@@ -9,8 +9,9 @@
 // per-object bodies (query_member / put_members over the query_one /
 // put_one hooks a protocol implements) as the protocol's scalar handlers.
 // Whole-replica protocols (ABD) support them; coded / role-split protocols
-// (TREAS, LDR) report supports_batch() == false and clients fall back to
-// per-object operations (see dap::batch_capable).
+// (TREAS, LDR) report supports_batch() == false, and the clients' member-set
+// rounds (dap/batch.hpp) run their members one at a time through the
+// scalar primitives (see dap::batch_capable).
 #pragma once
 
 #include "codec/codec.hpp"

@@ -93,7 +93,7 @@ struct BatchQueryItem {
   Tag confirmed;   // server's quorum-propagated tag for the object
   CseqEntry next_c;
   /// Read-lease grant expiry for (object, requester), 0 = no grant. On the
-  /// wire: this server's promise; in a batch_get_data result: the min
+  /// wire: this server's promise; folded by query_round: the min
   /// expiry across a full quorum of granting replies (0 unless a quorum
   /// granted — only a quorum-backed lease may be trusted, since the settle
   /// gate relies on every put quorum intersecting the grant set).

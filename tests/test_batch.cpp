@@ -191,17 +191,22 @@ std::ostream& operator<<(std::ostream& os, const Cost& c) {
 /// Traffic of one operation of `client`, late quorum replies and confirm
 /// broadcasts included (the simulator is drained on both sides).
 template <typename Op>
-Cost cost_of(harness::AresCluster& cluster, reconfig::AresClient& client,
-             Op op) {
-  cluster.sim().run();
+Cost cost_on(sim::Simulator& sim, const sim::Process& client, Op op) {
+  sim.run();
   const sim::TrafficStats before = client.traffic();
-  (void)sim::run_to_completion(cluster.sim(), op());
-  cluster.sim().run();
+  (void)sim::run_to_completion(sim, op());
+  sim.run();
   const sim::TrafficStats& after = client.traffic();
   return Cost{after.quorum_rounds - before.quorum_rounds,
               after.messages_sent + after.messages_received -
                   before.messages_sent - before.messages_received,
               after.bytes_total() - before.bytes_total()};
+}
+
+template <typename Op>
+Cost cost_of(harness::AresCluster& cluster, reconfig::AresClient& client,
+             Op op) {
+  return cost_on(cluster.sim(), client, op);
 }
 
 /// In steady state a one-member batch runs exactly the scalar op: the
@@ -238,6 +243,215 @@ TEST(Batch, OneMemberBatchCostsExactlyAScalarOpOnTreas) {
   o.initial_protocol = dap::Protocol::kTreas;
   o.initial_k = 3;
   expect_batch_of_one_costs_a_scalar_op(o);
+}
+
+// --- the static stack's batches ---------------------------------------------
+
+harness::StaticClusterOptions static_abd(std::size_t servers,
+                                         std::uint64_t seed = 4) {
+  harness::StaticClusterOptions o;
+  o.protocol = dap::Protocol::kAbd;
+  o.num_servers = servers;
+  o.num_clients = 2;
+  o.seed = seed;
+  return o;
+}
+
+std::vector<WriteOp> values_for(const std::vector<ObjectId>& keys,
+                                std::uint64_t salt) {
+  std::vector<WriteOp> batch;
+  for (ObjectId obj : keys) {
+    batch.push_back({obj, make_value(make_test_value(32, salt + obj))});
+  }
+  return batch;
+}
+
+void expect_static_atomic(harness::StaticCluster& cluster) {
+  for (const auto& [obj, verdict] : checker::check_tag_atomicity_per_object(
+           cluster.history().records())) {
+    EXPECT_TRUE(verdict.ok) << "object " << obj << ": " << verdict.violation;
+  }
+}
+
+TEST(Batch, StaticWriteManyWithDuplicateObjectsGetsDistinctTags) {
+  // A repeated member needs a distinct tag, so it runs in a later wave:
+  // the second write of object 0 lands over the first.
+  harness::StaticCluster cluster(static_abd(5));
+  const std::vector<WriteOp> batch{
+      {0, make_value(make_test_value(32, 1))},
+      {0, make_value(make_test_value(32, 2))},
+      {1, make_value(make_test_value(32, 3))},
+  };
+  auto results = sim::run_to_completion(cluster.sim(),
+                                        cluster.store(0).write_many(batch));
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_LT(results[0].tag, results[1].tag)
+      << "duplicate members must serialize to distinct tags";
+  auto r = sim::run_to_completion(cluster.sim(), cluster.store(1).read(0));
+  EXPECT_EQ(r.tag, results[1].tag);
+  EXPECT_EQ(*r.value, make_test_value(32, 2));
+  expect_static_atomic(cluster);
+}
+
+TEST(Batch, StaticReadManyWithRepeatedKeySharesOnePair) {
+  harness::StaticCluster cluster(static_abd(5));
+  (void)sim::run_to_completion(
+      cluster.sim(), cluster.store(0).write_many(values_for({0, 1}, 40)));
+  const std::vector<ObjectId> keys{0, 1, 0};
+  auto& reader = cluster.store(1);
+  const Cost repeated = cost_on(cluster.sim(), reader.client(), [&] {
+    return reader.read_many(keys);
+  });
+  const std::vector<ObjectId> once{0, 1};
+  const Cost distinct = cost_on(cluster.sim(), reader.client(), [&] {
+    return reader.read_many(once);
+  });
+  EXPECT_EQ(repeated, distinct) << "a repeated read shares its object's op";
+
+  auto results = sim::run_to_completion(cluster.sim(), reader.read_many(keys));
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].tag, results[2].tag);
+  EXPECT_EQ(results[0].value, results[2].value);
+  EXPECT_EQ(*results[1].value, make_test_value(32, 41));
+  expect_static_atomic(cluster);
+}
+
+TEST(Batch, StaticSemifastOffCostsOneWriteBackRound) {
+  // Without semifast confirmation every member of an ABD read_many is
+  // written back — in one shared put round.
+  const std::vector<ObjectId> keys{0, 1, 2, 3};
+  std::uint64_t rounds[2] = {0, 0};
+  for (bool semifast : {true, false}) {
+    harness::StaticClusterOptions o = static_abd(5);
+    o.semifast = semifast;
+    harness::StaticCluster cluster(o);
+    (void)sim::run_to_completion(
+        cluster.sim(), cluster.store(0).write_many(values_for(keys, 10)));
+    auto& reader = cluster.store(1);
+    rounds[semifast ? 0 : 1] =
+        cost_on(cluster.sim(), reader.client(), [&] {
+          return reader.read_many(keys);
+        }).rounds;
+    expect_static_atomic(cluster);
+  }
+  EXPECT_EQ(rounds[0], 1u);
+  EXPECT_EQ(rounds[1], rounds[0] + 1);
+}
+
+TEST(Batch, StaticTreasReadManyCostsItsMembersScalarReads) {
+  // TREAS declines the shared frames: read_many is the per-object loop,
+  // exactly the rounds and messages of the members' scalar reads.
+  const std::vector<ObjectId> keys{0, 1, 2};
+  Cost costs[2];
+  for (bool batched : {true, false}) {
+    harness::StaticClusterOptions o;
+    o.protocol = dap::Protocol::kTreas;
+    o.num_servers = 5;
+    o.k = 3;
+    o.num_clients = 2;
+    o.seed = 6;
+    harness::StaticCluster cluster(o);
+    (void)sim::run_to_completion(
+        cluster.sim(), cluster.store(0).write_many(values_for(keys, 20)));
+    auto& reader = cluster.store(1);
+    Cost& c = costs[batched ? 0 : 1];
+    if (batched) {
+      c = cost_on(cluster.sim(), reader.client(),
+                  [&] { return reader.read_many(keys); });
+    } else {
+      for (ObjectId obj : keys) {
+        const Cost one = cost_on(cluster.sim(), reader.client(),
+                                 [&] { return reader.read(obj); });
+        c.rounds += one.rounds;
+        c.messages += one.messages;
+      }
+    }
+    expect_static_atomic(cluster);
+  }
+  EXPECT_GE(costs[0].rounds, keys.size());
+  EXPECT_EQ(costs[0].rounds, costs[1].rounds);
+  EXPECT_EQ(costs[0].messages, costs[1].messages);
+}
+
+TEST(Batch, StaticAndAresStacksCostTheSameBatch) {
+  // Both client stacks run the same member-set rounds: on ABD[3] with the
+  // same seed and delays, a 4-member read_many and write_many cost the same
+  // rounds and messages on StaticStore as on a warmed, synced, lease-off
+  // AresStore, and the reads the same bytes. (A synced ARES writer asks
+  // for write-ack leases, so its acks carry a lease slot per member.)
+  const std::vector<ObjectId> keys{0, 1, 2, 3};
+  const std::vector<WriteOp> warm = values_for(keys, 60);
+  const std::vector<WriteOp> batch = values_for(keys, 80);
+  // Client 0 writes every key and client 1 reads each once (which syncs
+  // the ARES client's cached sequences); then client 1's batches are
+  // measured.
+  auto measure = [&](sim::Simulator& sim, Store& writer, Store& reader,
+                     const sim::Process& process) {
+    (void)sim::run_to_completion(sim, writer.write_many(warm));
+    for (ObjectId obj : keys) {
+      (void)sim::run_to_completion(sim, reader.read(obj));
+    }
+    return std::pair{
+        cost_on(sim, process, [&] { return reader.read_many(keys); }),
+        cost_on(sim, process, [&] { return reader.write_many(batch); })};
+  };
+  // One cluster at a time: each owns the thread's current simulator.
+  std::pair<Cost, Cost> fixed;
+  {
+    harness::StaticCluster cluster(static_abd(3, /*seed=*/8));
+    auto& reader = cluster.store(1);
+    fixed = measure(cluster.sim(), cluster.store(0), reader, reader.client());
+    expect_static_atomic(cluster);
+  }
+  std::pair<Cost, Cost> ares;
+  {
+    harness::AresClusterOptions o = abd_cluster(keys.size());
+    o.initial_servers = 3;
+    o.seed = 8;
+    harness::AresCluster cluster(o);
+    auto& reader = cluster.store(1);
+    ares = measure(cluster.sim(), cluster.store(0), reader, reader.client());
+    expect_atomic(cluster);
+  }
+  EXPECT_EQ(fixed.first.rounds, 1u);
+  EXPECT_EQ(fixed.first, ares.first) << "read_many";
+  EXPECT_EQ(fixed.second.rounds, 2u);
+  EXPECT_EQ(fixed.second.rounds, ares.second.rounds) << "write_many";
+  EXPECT_EQ(fixed.second.messages, ares.second.messages) << "write_many";
+}
+
+TEST(Batch, SeededStaticBatchSweepStaysAtomic) {
+  // The fuzzer drives only the ARES stack; this sweep drives the static
+  // one: batched ABD[5] workloads with a server crashing mid-run, semifast
+  // on and off, every history checked.
+  for (bool semifast : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+      harness::StaticClusterOptions o = static_abd(5, seed);
+      o.num_clients = 4;
+      o.semifast = semifast;
+      harness::StaticCluster cluster(o);
+      cluster.sim().schedule_after(
+          static_cast<SimDuration>(20 + 13 * seed % 300),
+          [&cluster] { cluster.crash_servers(1); });
+      harness::WorkloadOptions w;
+      w.ops_per_client = 16;
+      w.write_fraction = 0.3;
+      w.value_size = 16;
+      w.num_objects = 5;
+      w.batch_size = 4;
+      w.seed = seed;
+      const auto result =
+          harness::run_workload(cluster.sim(), cluster.stores(), w);
+      ASSERT_TRUE(result.completed) << "seed " << seed;
+      ASSERT_EQ(result.failures, 0u) << "seed " << seed;
+      ASSERT_EQ(result.ops.size(), w.ops_per_client * o.num_clients);
+      const auto verdict =
+          checker::check_tag_atomicity(cluster.history().records());
+      ASSERT_TRUE(verdict.ok)
+          << "seed " << seed << " semifast " << semifast << ": "
+          << verdict.violation;
+    }
+  }
 }
 
 // --- batches spanning configurations ----------------------------------------
@@ -285,6 +499,21 @@ TEST(Batch, NonBatchableProtocolMembersFallBackPerObject) {
     EXPECT_EQ(*results[obj].value, make_test_value(64, 100 + obj));
   }
   expect_atomic(cluster);
+
+  // Each member runs alone: the batch costs exactly the rounds and
+  // messages of its members' scalar reads.
+  reconfig::AresClient& client = store.client();
+  const Cost batch =
+      cost_of(cluster, client, [&] { return store.read_many(keys); });
+  Cost scalar;
+  for (ObjectId obj : keys) {
+    const Cost one = cost_of(cluster, client, [&] { return store.read(obj); });
+    scalar.rounds += one.rounds;
+    scalar.messages += one.messages;
+  }
+  EXPECT_GE(batch.rounds, keys.size());
+  EXPECT_EQ(batch.rounds, scalar.rounds);
+  EXPECT_EQ(batch.messages, scalar.messages);
 }
 
 // --- reconfiguration completing mid-batch (config-hint fallback) ------------
