@@ -1,7 +1,7 @@
 // The one bench driver: runs the named scenarios (all of them when none
 // are named), writes each one's BENCH_<name>.json to the working
 // directory, prints one PASS/FAIL line per scenario, and exits non-zero if
-// any gate failed. bench_codec_micro (Google Benchmark) is separate.
+// any gate failed.
 #include "scenario.hpp"
 
 #include <cstdio>
@@ -32,6 +32,7 @@ constexpr Scenario kScenarios[] = {
     {"state_transfer", bench::state_transfer},
     {"ablation", bench::ablation},
     {"net_chaos", bench::net_chaos},
+    {"codec", bench::codec},
 };
 
 const Scenario* find(const std::string& name) {

@@ -38,9 +38,11 @@ Outcome rw_under_reconfig();
 Outcome state_transfer();
 Outcome ablation();
 
-// Durable storage, placement, and chaos over TCP (one file each).
+// Durable storage, placement, chaos over TCP, and the Reed-Solomon
+// kernel's wall-clock cost (one file each).
 Outcome memory();
 Outcome placement();
 Outcome net_chaos();
+Outcome codec();
 
 }  // namespace ares::bench

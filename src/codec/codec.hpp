@@ -65,8 +65,6 @@ class ReedSolomonCodec final : public Codec {
       const std::vector<Fragment>& fragments) const override;
 
  private:
-  [[nodiscard]] std::vector<Value> stripes(const Value& v) const;
-
   std::size_t n_;
   std::size_t k_;
   Matrix generator_;  // n x k systematic MDS matrix

@@ -1,5 +1,6 @@
 #include "codec/matrix.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ares::codec {
@@ -15,32 +16,7 @@ Matrix Matrix::mul(const Matrix& rhs) const {
   Matrix out(rows_, rhs.cols_);
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t c = 0; c < cols_; ++c) {
-      const GF256::Elem a = at(r, c);
-      if (a == 0) continue;
-      for (std::size_t j = 0; j < rhs.cols_; ++j) {
-        out.at(r, j) = GF256::add(out.at(r, j), GF256::mul(a, rhs.at(c, j)));
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<std::uint8_t>> Matrix::apply(
-    const std::vector<std::vector<std::uint8_t>>& vecs) const {
-  assert(vecs.size() == cols_);
-  const std::size_t len = vecs.empty() ? 0 : vecs.front().size();
-  std::vector<std::vector<std::uint8_t>> out(
-      rows_, std::vector<std::uint8_t>(len, 0));
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      const GF256::Elem a = at(r, c);
-      if (a == 0) continue;
-      assert(vecs[c].size() == len);
-      auto& dst = out[r];
-      const auto& src = vecs[c];
-      for (std::size_t j = 0; j < len; ++j) {
-        dst[j] = GF256::add(dst[j], GF256::mul(a, src[j]));
-      }
+      GF256::mul_add_row(at(r, c), rhs.row(c), out.row(r), rhs.cols_);
     }
   }
   return out;
@@ -52,32 +28,22 @@ std::optional<Matrix> Matrix::inverse() const {
   Matrix a = *this;
   Matrix inv = identity(n);
   for (std::size_t col = 0; col < n; ++col) {
-    // Find pivot.
     std::size_t pivot = col;
     while (pivot < n && a.at(pivot, col) == 0) ++pivot;
     if (pivot == n) return std::nullopt;  // singular
-    if (pivot != col) {
-      for (std::size_t j = 0; j < n; ++j) {
-        std::swap(a.at(pivot, j), a.at(col, j));
-        std::swap(inv.at(pivot, j), inv.at(col, j));
-      }
-    }
-    // Normalize pivot row.
-    const GF256::Elem p = a.at(col, col);
-    const GF256::Elem pinv = GF256::inv(p);
+    std::swap_ranges(a.row(pivot), a.row(pivot) + n, a.row(col));
+    std::swap_ranges(inv.row(pivot), inv.row(pivot) + n, inv.row(col));
+    // Normalize the pivot row, then eliminate column `col` everywhere else.
+    const GF256::Elem pinv = GF256::inv(a.at(col, col));
     for (std::size_t j = 0; j < n; ++j) {
       a.at(col, j) = GF256::mul(a.at(col, j), pinv);
       inv.at(col, j) = GF256::mul(inv.at(col, j), pinv);
     }
-    // Eliminate every other row.
     for (std::size_t r = 0; r < n; ++r) {
       if (r == col) continue;
       const GF256::Elem f = a.at(r, col);
-      if (f == 0) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        a.at(r, j) = GF256::add(a.at(r, j), GF256::mul(f, a.at(col, j)));
-        inv.at(r, j) = GF256::add(inv.at(r, j), GF256::mul(f, inv.at(col, j)));
-      }
+      GF256::mul_add_row(f, a.row(col), a.row(r), n);
+      GF256::mul_add_row(f, inv.row(col), inv.row(r), n);
     }
   }
   return inv;

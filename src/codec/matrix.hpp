@@ -23,18 +23,16 @@ class Matrix {
     return data_[r * cols_ + c];
   }
   GF256::Elem& at(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
+  /// Row r as cols() contiguous elements.
+  [[nodiscard]] const GF256::Elem* row(std::size_t r) const {
+    return &data_[r * cols_];
+  }
+  GF256::Elem* row(std::size_t r) { return &data_[r * cols_]; }
 
   [[nodiscard]] static Matrix identity(std::size_t n);
 
   /// this * rhs. Requires cols() == rhs.rows().
   [[nodiscard]] Matrix mul(const Matrix& rhs) const;
-
-  /// Matrix-vector product applied to a span of column vectors laid out as
-  /// rows of `vecs` (each row is one input symbol stream). Specifically:
-  /// out[r][j] = sum_c at(r,c) * vecs[c][j]. All rows of `vecs` must share
-  /// the same length.
-  [[nodiscard]] std::vector<std::vector<std::uint8_t>> apply(
-      const std::vector<std::vector<std::uint8_t>>& vecs) const;
 
   /// Inverse by Gauss-Jordan elimination; nullopt if singular.
   /// Requires square.

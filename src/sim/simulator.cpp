@@ -12,7 +12,9 @@ Simulator::Simulator(std::uint64_t seed) : rng_(seed) {
   t_current = this;
 }
 
-Simulator::~Simulator() { t_current = prev_current_; }
+Simulator::~Simulator() {
+  if (t_current == this) t_current = prev_current_;
+}
 
 Simulator* Simulator::current() { return t_current; }
 
@@ -35,7 +37,7 @@ void Simulator::schedule_at(SimTime at, std::function<void()> action) {
   queue_.push(at < now_ ? now_ : at, std::move(action));
 }
 
-bool Simulator::step() {
+bool Simulator::execute_next() {
   if (queue_.empty()) return false;
   now_ = queue_.next_time();
   auto action = queue_.pop();
@@ -44,17 +46,24 @@ bool Simulator::step() {
   return true;
 }
 
+bool Simulator::step() {
+  const ScopedCurrent cur(*this);
+  return execute_next();
+}
+
 std::size_t Simulator::run(std::size_t max_events) {
+  const ScopedCurrent cur(*this);
   std::size_t n = 0;
-  while (n < max_events && step()) ++n;
+  while (n < max_events && execute_next()) ++n;
   return n;
 }
 
 bool Simulator::run_until(const std::function<bool()>& done,
                           std::size_t max_events) {
   if (done()) return true;
+  const ScopedCurrent cur(*this);
   std::size_t n = 0;
-  while (n < max_events && step()) {
+  while (n < max_events && execute_next()) {
     ++n;
     if (done()) return true;
   }
@@ -62,10 +71,11 @@ bool Simulator::run_until(const std::function<bool()>& done,
 }
 
 void Simulator::run_for(SimDuration duration, std::size_t max_events) {
+  const ScopedCurrent cur(*this);
   const SimTime deadline = now_ + duration;
   std::size_t n = 0;
   while (n < max_events && !queue_.empty() && queue_.next_time() <= deadline) {
-    step();
+    execute_next();
     ++n;
   }
   if (now_ < deadline) now_ = deadline;

@@ -20,8 +20,10 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// The simulator most recently constructed on this thread (coroutine
-  /// promises use it to schedule resumptions through the event queue).
+  /// The simulator whose step()/run*() call is executing on this thread,
+  /// else the one most recently constructed here. Coroutine promises post
+  /// resumptions to it, so with several simulators alive in one thread an
+  /// event's resumptions stay on the queue that ran the event.
   [[nodiscard]] static Simulator* current();
 
   /// RAII: makes `s` the thread's current() for the scope. The socket
@@ -77,6 +79,10 @@ class Simulator {
   static constexpr std::size_t kDefaultEventBudget = 50'000'000;
 
  private:
+  /// step() without making this simulator current(); the public entry
+  /// points do that once per call.
+  bool execute_next();
+
   EventQueue queue_;
   SimTime now_ = 0;
   Rng rng_;

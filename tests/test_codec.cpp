@@ -1,5 +1,7 @@
 // Unit + property tests for the erasure-coding substrate: GF(2^8) field
-// axioms, matrix algebra, and the Reed-Solomon / replication codecs.
+// axioms and the product-table row kernel, matrix algebra, and the
+// Reed-Solomon / replication codecs (checked byte for byte against a
+// per-byte reference encoder).
 #include "codec/codec.hpp"
 #include "codec/gf256.hpp"
 #include "codec/matrix.hpp"
@@ -83,6 +85,24 @@ TEST(GF256, PowMatchesRepeatedMul) {
     for (unsigned e = 0; e < 10; ++e) {
       EXPECT_EQ(GF256::pow(static_cast<GF256::Elem>(a), e), acc);
       acc = GF256::mul(acc, static_cast<GF256::Elem>(a));
+    }
+  }
+}
+
+TEST(GF256, RowKernelMatchesMul) {
+  Rng rng(11);
+  for (const std::size_t len : {0, 1, 15, 4097}) {
+    // One byte of slack on each side: the kernel must touch exactly len.
+    const Value src = make_test_value(len + 1, len);
+    for (unsigned a = 0; a < 256; ++a) {
+      const auto e = static_cast<GF256::Elem>(a);
+      Value dst = make_test_value(len + 2, rng.next_u64());
+      Value expect = dst;
+      for (std::size_t j = 0; j < len; ++j) {
+        expect[j + 1] ^= GF256::mul(e, src[j + 1]);
+      }
+      GF256::mul_add_row(e, src.data() + 1, dst.data() + 1, len);
+      ASSERT_EQ(dst, expect) << "a=" << a << " len=" << len;
     }
   }
 }
@@ -260,6 +280,39 @@ TEST_P(RsCodecTest, EmptyValueRoundTrips) {
   EXPECT_TRUE(decoded->empty());
 }
 
+TEST_P(RsCodecTest, EveryLengthNearAStripeBoundaryRoundTrips) {
+  // A value may end mid-stripe or before the last stripes begin (len 5 at
+  // k 4 leaves two stripes of pure padding); each such shape must code.
+  const auto [n, k] = GetParam();
+  ReedSolomonCodec codec(n, k);
+  std::vector<std::size_t> lengths(3 * k + 2);
+  std::iota(lengths.begin(), lengths.end(), 0);
+  lengths.insert(lengths.end(), {32767, 32768, 32769});
+  Rng rng(n * 100 + k);
+  for (const std::size_t len : lengths) {
+    const Value v = make_test_value(len, len);
+    const auto frags = codec.encode(v);
+    ASSERT_EQ(frags.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(frags[i].size(), 8 + (len + k - 1) / k) << "len=" << len;
+      ASSERT_EQ(*codec.encode_one(v, static_cast<std::uint32_t>(i)).data,
+                *frags[i].data)
+          << "len=" << len << " i=" << i;
+    }
+    const std::vector<Fragment> systematic(
+        frags.begin(), frags.begin() + static_cast<std::ptrdiff_t>(k));
+    ASSERT_EQ(codec.decode(systematic), v) << "len=" << len;
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<Fragment> shuffled = frags;
+      for (std::size_t i = 0; i < k; ++i) {
+        std::swap(shuffled[i], shuffled[rng.uniform(i, n - 1)]);
+      }
+      shuffled.resize(k);
+      ASSERT_EQ(codec.decode(shuffled), v) << "len=" << len;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Params, RsCodecTest,
     ::testing::Values(NK{3, 2}, NK{5, 3}, NK{5, 4}, NK{6, 4}, NK{9, 7},
@@ -292,6 +345,95 @@ TEST(RsCodec, InconsistentFragmentSetRejected) {
   const auto a = codec.encode(make_test_value(100, 1));
   const auto b = codec.encode(make_test_value(200, 2));  // different length
   EXPECT_FALSE(codec.decode({a[0], b[1]}).has_value());
+}
+
+/// The original per-byte encoder: stripes copied out of the value, every
+/// byte multiplied with GF256::mul. The kernel must agree with it byte for
+/// byte, or fragments on the wire, in the WAL and in the pinned sim byte
+/// counts would change.
+std::vector<Value> reference_encode(const Value& v, std::size_t n,
+                                    std::size_t k) {
+  const Matrix g = systematic_mds_matrix(n, k);
+  const std::size_t s = (v.size() + k - 1) / k;
+  std::vector<Value> stripes(k, Value(s, 0));
+  for (std::size_t i = 0; i < v.size(); ++i) stripes[i / s][i % s] = v[i];
+  std::vector<Value> out(n, Value(8 + s, 0));
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      out[r][b] = static_cast<std::uint8_t>(std::uint64_t{v.size()} >> (8 * b));
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      for (std::size_t j = 0; j < s; ++j) {
+        out[r][8 + j] ^= GF256::mul(g.at(r, c), stripes[c][j]);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(RsCodec, EncodingMatchesReferenceEncoder) {
+  for (const NK nk : {NK{3, 2}, NK{5, 3}, NK{6, 4}, NK{15, 10}, NK{64, 48}}) {
+    ReedSolomonCodec codec(nk.n, nk.k);
+    for (const std::size_t len : {0, 1, 5, 257, 6000, 32768}) {
+      const Value v = make_test_value(len, nk.n * len + nk.k);
+      const auto expect = reference_encode(v, nk.n, nk.k);
+      const auto frags = codec.encode(v);
+      for (std::size_t i = 0; i < nk.n; ++i) {
+        ASSERT_EQ(*frags[i].data, expect[i])
+            << "n=" << nk.n << " k=" << nk.k << " len=" << len << " i=" << i;
+      }
+    }
+  }
+}
+
+/// A copy of `f` whose 8-byte length header says `len`.
+Fragment with_length_header(const Fragment& f, std::uint64_t len) {
+  Value bytes = *f.data;
+  for (std::size_t b = 0; b < 8; ++b) {
+    bytes[b] = static_cast<std::uint8_t>(len >> (8 * b));
+  }
+  return Fragment{f.index, std::make_shared<const Value>(std::move(bytes))};
+}
+
+TEST(RsCodec, LengthHeaderDisagreeingWithPayloadRejected) {
+  // Fragments arrive over TCP and from the WAL: a header that does not
+  // match ceil(len / k) payload bytes must be refused, not trusted.
+  ReedSolomonCodec codec(5, 3);
+  const auto frags = codec.encode(make_test_value(876, 1));  // 300-byte frags
+  const auto empty = codec.encode(Value{});                  // 8-byte frags
+  for (const auto& rows : {std::vector<std::size_t>{0, 1, 2},
+                           std::vector<std::size_t>{2, 3, 4}}) {
+    const auto forged = [&](const std::vector<Fragment>& src,
+                            std::uint64_t len) {
+      std::vector<Fragment> out;
+      for (const std::size_t r : rows) {
+        out.push_back(with_length_header(src[r], len));
+      }
+      return codec.decode(out);
+    };
+    EXPECT_FALSE(forged(frags, 10000).has_value());  // header too large
+    EXPECT_FALSE(forged(frags, 873).has_value());    // ceil(873/3) = 291
+    EXPECT_FALSE(forged(frags, 3).has_value());      // header too small
+    EXPECT_FALSE(forged(frags, ~std::uint64_t{0}).has_value());
+    EXPECT_FALSE(forged(empty, 5).has_value());  // empty payload, len 5
+    EXPECT_TRUE(forged(frags, 876).has_value());  // the honest header
+  }
+}
+
+TEST(RsCodec, PrefersSystematicFragments) {
+  // Given all n fragments, decode copies the systematic ones: corrupting
+  // every parity payload must not change the value.
+  ReedSolomonCodec codec(6, 3);
+  const Value v = make_test_value(1000, 12);
+  auto frags = codec.encode(v);
+  std::reverse(frags.begin(), frags.end());  // parity fragments first
+  for (auto& f : frags) {
+    if (f.index < 3) continue;
+    Value bytes = *f.data;
+    bytes.back() ^= 0xFF;
+    f.data = std::make_shared<const Value>(std::move(bytes));
+  }
+  EXPECT_EQ(codec.decode(frags), v);
 }
 
 // --- Replication codec --------------------------------------------------------

@@ -153,5 +153,38 @@ TEST(Integration, ManySmallObjectsComposeAtomically) {
   EXPECT_TRUE(brute.ok) << brute.violation;
 }
 
+TEST(Integration, TwoLiveClustersEachCompleteTheirOwnOps) {
+  // Each cluster owns a simulator; while both are alive in one thread, the
+  // first one's coroutine resumptions must stay on its own queue, not on
+  // the queue of the simulator constructed last.
+  harness::AresClusterOptions o;
+  o.server_pool = 5;
+  o.initial_protocol = dap::Protocol::kTreas;
+  o.initial_servers = 5;
+  o.initial_k = 3;
+  o.num_rw_clients = 2;
+  o.seed = 17;
+  harness::AresCluster first(o);
+  o.initial_protocol = dap::Protocol::kAbd;
+  o.initial_servers = 3;
+  o.seed = 18;
+  harness::AresCluster second(o);
+
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    for (harness::AresCluster* c : {&first, &second}) {
+      const ValuePtr v = make_value(make_test_value(1000, round));
+      ASSERT_TRUE(
+          sim::run_to_completion(c->sim(), c->store(0).write(0, v)).ok());
+      const auto read = sim::run_to_completion(c->sim(), c->store(1).read(0));
+      ASSERT_TRUE(read.ok());
+      EXPECT_EQ(*read.value, *v);
+    }
+  }
+  for (harness::AresCluster* c : {&first, &second}) {
+    const auto verdict = checker::check_tag_atomicity(c->history().records());
+    EXPECT_TRUE(verdict.ok) << verdict.violation;
+  }
+}
+
 }  // namespace
 }  // namespace ares

@@ -176,6 +176,22 @@ TEST(Coro, ExceptionPropagatesThroughAwait) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
+TEST(Coro, ResumptionsStayOnTheSimulatorRunningTheEvent) {
+  // `older` is not the most recently constructed simulator, yet the
+  // resumption after its timer fires must be queued on it, not on `newer`.
+  Simulator older;
+  Simulator newer;
+  SimTime woke = 0;
+  auto f = add_one([](Simulator* sim, SimTime* w) -> Future<int> {
+    co_await sleeper(sim, 40, w);
+    co_return 1;
+  }(&older, &woke));
+  EXPECT_EQ(run_to_completion(older, std::move(f)), 2);
+  EXPECT_EQ(woke, 40u);
+  EXPECT_EQ(newer.pending_events(), 0u);
+  EXPECT_EQ(Simulator::current(), &newer);  // restored after the run
+}
+
 TEST(Coro, RunToCompletionHelper) {
   Simulator sim;
   SimTime woke = 0;
